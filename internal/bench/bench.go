@@ -82,20 +82,6 @@ type Series struct {
 	Points   []Point
 }
 
-// newApp builds the weak-scaling application for the given name.
-func newApp(app string, ranks int, o Options) (core.App, float64, error) {
-	switch app {
-	case "rd":
-		a, err := core.WeakRD(ranks, o.PerRankN, o.Steps)
-		return a, core.MemPerRankGB(o.PerRankN, 1), err
-	case "ns":
-		a, err := core.WeakNS(ranks, o.PerRankN, o.Steps)
-		return a, core.MemPerRankGB(o.PerRankN, 4), err
-	default:
-		return nil, 0, fmt.Errorf("bench: unknown application %q (want rd or ns)", app)
-	}
-}
-
 // RunWeak executes the weak-scaling experiment (Figure 4 for app "rd",
 // Figure 5 for "ns") on one platform.
 func RunWeak(app, platformName string, o Options) (*Series, error) {
@@ -104,17 +90,21 @@ func RunWeak(app, platformName string, o Options) (*Series, error) {
 	if err != nil {
 		return nil, err
 	}
+	w, err := workloadFor(app)
+	if err != nil {
+		return nil, err
+	}
 	s := &Series{App: app, Platform: platformName}
 	for _, ranks := range WeakSeries {
 		if ranks > o.MaxRanks {
 			break
 		}
-		a, mem, err := newApp(app, ranks, o)
+		a, err := w.weak(ranks, o.PerRankN, o.Steps)
 		if err != nil {
 			return nil, err
 		}
 		rep, err := tg.Run(core.JobSpec{
-			Ranks: ranks, App: a, SkipSteps: o.SkipSteps, MemPerRankGB: mem, Obs: o.Obs,
+			Ranks: ranks, App: a, SkipSteps: o.SkipSteps, MemPerRankGB: w.memGB(o.PerRankN), Obs: o.Obs,
 		})
 		s.Points = append(s.Points, Point{Ranks: ranks, Report: rep, Err: err})
 		if err != nil {

@@ -25,6 +25,9 @@ package bench
 // also re-provisions the missing width, growing back to the submitted
 // size. The fallback ladder stays monotone: a migrate whose provisioning
 // ultimately fails downgrades to shrink, never back up.
+//
+// PolicyShrink runs through the same loop restricted to its shrink rung,
+// so a migrate fallback and a shrink-continue recovery share one code path.
 
 import (
 	"errors"
@@ -143,14 +146,25 @@ func regrowSetupS(platform string) float64 {
 	return plan.TotalHours * 3600
 }
 
-// runMigrate is the proactive migration recovery loop with the correlated
-// recovery arbiter and the elastic autoscaler on top.
-func runMigrate(s *superSetup) (*RecoveryReport, *shrinkRunState, error) {
+// runElastic is the elastic recovery loop of PolicyMigrate and
+// PolicyShrink. Both keep the job running across node losses — agree,
+// shrink, redistribute from diskless buddy copies — and differ only in
+// their ladder. Migrate acts at the preemption notice (drain, coalesce
+// correlated notices, evacuate, provision, grow back to full width) with
+// shrink and cold restart as fallbacks. Shrink-continue is the shrink-only
+// ladder: it arms the reclaim itself, has no market, emits no decision or
+// arbiter events, and takes the shrink rung for every loss, so a total
+// loss is an error rather than a restart.
+func runElastic(s *superSetup) (*RecoveryReport, *shrinkRunState, error) {
 	o := s.o
 	tg, p := s.tg, s.tg.Platform
+	shrinkOnly := o.Policy == PolicyShrink
 	if s.nodes < 2 {
-		return nil, nil, fmt.Errorf("bench: migrate needs at least 2 nodes for buddy evacuation (placement has %d); lower RanksPerNode or raise Ranks",
-			s.nodes)
+		need := "migrate needs at least 2 nodes for buddy evacuation"
+		if shrinkOnly {
+			need = "shrink-and-continue needs at least 2 nodes for buddy checkpoints"
+		}
+		return nil, nil, fmt.Errorf("bench: %s (placement has %d); lower RanksPerNode or raise Ranks", need, s.nodes)
 	}
 	plan := s.plan
 	fatals := plan.Failures()
@@ -166,17 +180,20 @@ func runMigrate(s *superSetup) (*RecoveryReport, *shrinkRunState, error) {
 
 	mg := &MigrateStats{}
 	rep := &RecoveryReport{
-		Platform: o.Platform, App: o.App, Policy: PolicyMigrate,
+		Platform: o.Platform, App: o.App, Policy: o.Policy,
 		Ranks: o.Ranks, FinalRanks: o.Ranks,
 		Plan: plan, Clean: s.clean, CleanVirtualS: s.cleanS,
-		Shrink:  &ShrinkStats{},
-		Migrate: mg,
+		Shrink: &ShrinkStats{},
 	}
 	var rec trace.Recorder
 	rec.Observe(o.Obs)
 	gobs := o.Obs.Global()
 
-	market := s.newReplacementMarket()
+	var market *spot.Market
+	if !shrinkOnly {
+		rep.Migrate = mg
+		market = s.newReplacementMarket()
+	}
 	spares := o.SpareNodes
 	var replacementPremiumPerHour float64
 	// The provisioning backoff stream is distinct from restart's retry
@@ -184,18 +201,26 @@ func runMigrate(s *superSetup) (*RecoveryReport, *shrinkRunState, error) {
 	// acquisition actually exhausts the market.
 	pbo := fault.NewBackoff(o.BackoffBaseS, o.BackoffCapS, o.Seed+3)
 
-	m, grid, mem, err := weakSetup(o.App, o.Ranks, o.PerRankN)
+	app, mem, err := newRankApp(o.App, o.Ranks, o.PerRankN, o.Steps)
 	if err != nil {
 		return nil, nil, err
 	}
+	m := app.m
 	topo, err := mp.BlockTopology(o.Ranks, s.cpn)
 	if err != nil {
 		return nil, nil, err
 	}
-	ms := newMirrorStore(topo)
-	app := newShrinkApp(o.App, m, grid, o.Steps, o.Ranks)
-	app.mirror = ms
-	app.meter = newBuddyMeter(o.Ranks)
+	// protect re-homes the diskless mirror on a generation's topology.
+	// Mirroring needs an off-node buddy, so a single-node world runs
+	// unmirrored: its store stays empty and a later restore line is cold.
+	var ms *mirrorStore
+	protect := func(a *rankApp, topo mp.Topology) {
+		ms = newMirrorStore(topo)
+		if topo.NNodes() >= 2 {
+			a.mirror, a.meter = ms, newBuddyMeter(topo.NRanks())
+		}
+	}
+	protect(app, topo)
 
 	// nodeMap translates the plan's original node numbering into the
 	// current world's; shrinks compose into it. Plan slots follow ROLES,
@@ -208,7 +233,7 @@ func runMigrate(s *superSetup) (*RecoveryReport, *shrinkRunState, error) {
 	}
 	var world *mp.World // nil: launch via Attempt; else resume the re-formed world
 	curRanks := o.Ranks
-	state := &shrinkRunState{grid: grid, ranks: curRanks, app: app}
+	state := &shrinkRunState{grid: app.grid, ranks: curRanks, app: app}
 
 	foldGen := func() {
 		if app.meter != nil {
@@ -218,6 +243,112 @@ func runMigrate(s *superSetup) (*RecoveryReport, *shrinkRunState, error) {
 		}
 		rep.Shrink.AgreeS += maxOf(app.agreeS)
 		rep.Shrink.RedistributeS += maxOf(app.redistS)
+	}
+
+	// dropNodes takes the doomed nodes' memory and shrinks them out of the
+	// failed world w in one re-formation.
+	dropNodes := func(w *mp.World, doomed, origSlots []int) (*mp.Shrink, error) {
+		for _, d := range doomed {
+			ms.loseNode(d)
+		}
+		sr, err := w.ShrinkNodes(doomed[1:])
+		if err != nil {
+			return nil, err
+		}
+		rep.Shrink.Shrinks++
+		rep.Shrink.RevokedMsgs += sr.Revoked
+		rep.Shrink.DeadNodes = append(rep.Shrink.DeadNodes, origSlots...)
+		return sr, nil
+	}
+
+	// resumeOn installs the continuation on the re-formed world nw, split
+	// over grid: it redistributes the restore line's fragments when a line
+	// survives (toOld maps nw's ranks to the failed world's, -1 for
+	// joiners, which hold nothing), opens with the agreement collective
+	// over the failed world's rank space, and mirrors on nw's topology.
+	resumeOn := func(nw *mp.World, grid [3]int, sr *mp.Shrink, toOld, doomed []int, line int) error {
+		next := app.regrid(grid, nw.Size())
+		state.grid, state.ranks, state.app = grid, nw.Size(), next
+		if line >= 1 {
+			held, err := heldFromMirror(app.w, ms, toOld, doomed, line)
+			if err != nil {
+				return err
+			}
+			next.held, state.lastHeld = held, held
+		}
+		next.suspect = make([]bool, curRanks)
+		for _, d := range sr.DeadRanks {
+			next.suspect[d] = true
+		}
+		protect(next, nw.Topology())
+		for on := range nodeMap {
+			if nodeMap[on] >= 0 {
+				nodeMap[on] = sr.OldToNewNode[nodeMap[on]]
+			}
+		}
+		// The re-formed world is a fresh mp.World: re-attach the observer
+		// so the continuation's traffic lands in the same journal.
+		nw.Observe(o.Obs)
+		world, app, curRanks = nw, next, nw.Size()
+		return nil
+	}
+
+	// execShrink is the shrink rung: drop the whole doomed set in one
+	// multi-node shrink and continue degraded on the survivors. It is
+	// shrink-continue's only rung and migrate's reactive fallback.
+	execShrink := func(w *mp.World, doomed, origSlots []int, stopAt float64) error {
+		sr, err := dropNodes(w, doomed, origSlots)
+		if err != nil {
+			return err
+		}
+		// What survives in memory, and which step every survivor can agree
+		// to resume from. Resumption must leave at least one step to run,
+		// so the line is capped at Steps-1.
+		line, lineAtS := ms.line(o.Steps - 1)
+		survivors := sr.World.Size()
+		rec.Record(stopAt, "shrink", "world shrunk %d -> %d ranks (%d pending message(s) revoked)",
+			curRanks, survivors, sr.Revoked)
+
+		// Only the rolled-back span is wasted: survivors keep their work up
+		// to the restore line. A cold shrink (no surviving common line)
+		// rolls all the way back to the start.
+		wasted := stopAt
+		if line >= 1 {
+			wasted = stopAt - lineAtS
+		}
+		rep.WastedVirtualS += wasted
+		rep.RecoveryCostUSD += tg.Billing.JobCost(wasted, curRanks)
+
+		newGrid, err := partition.BalancedGrid(survivors, m.Nx, m.Ny, m.Nz)
+		if err != nil {
+			return fmt.Errorf("bench: cannot repartition after shrink: %w", err)
+		}
+		if shrinkOnly {
+			// Shrink-continue always ends on the survivor grid, so its
+			// report carries that decomposition's quality.
+			rec.Record(stopAt, "repartition", "global mesh %dx%dx%d re-partitioned onto grid %dx%dx%d",
+				m.Nx, m.Ny, m.Nz, newGrid[0], newGrid[1], newGrid[2])
+			if part, perr := partition.Block(m, newGrid[0], newGrid[1], newGrid[2]); perr == nil {
+				if q, qerr := partition.Evaluate(partition.DualGraph{M: m}, part, survivors); qerr == nil {
+					rep.Shrink.PartitionImbalance = q.Imbalance
+				}
+			}
+		}
+		if line >= 1 {
+			rec.Record(stopAt, "restore", "survivors resume from the mirrored checkpoint after step %d (rollback %.3fs)",
+				line, wasted)
+		} else {
+			rec.Record(stopAt, "restore", "no common mirrored step survived; survivors restart the stepping from scratch (cold shrink)")
+		}
+		rep.Shrink.RestoreStep = max(line, 0)
+		if err := resumeOn(sr.World, newGrid, sr, sr.NewToOld, doomed, line); err != nil {
+			return err
+		}
+		if app.mirror == nil {
+			rec.Record(stopAt, "unprotected", "single node left; diskless mirroring has no off-node partner")
+		}
+		rep.Degraded = true
+		return nil
 	}
 
 	for attempt := 1; attempt <= maxAttempts; attempt++ {
@@ -242,10 +373,11 @@ func runMigrate(s *superSetup) (*RecoveryReport, *shrinkRunState, error) {
 			if armed.Kind == fault.KindPreempt {
 				rec.Record(armed.NoticeAt, "notice",
 					"spot interruption notice for node %d (reclaim at t=%.1fs)", fatals[0].Node, armed.At)
-				if armed.NoticeAt < armed.At {
+				if !shrinkOnly && armed.NoticeAt < armed.At {
 					// Proactive drain: stop the world at the notice rather
 					// than the reclaim, leaving the window for the
-					// evacuate/provision/grow sequence.
+					// evacuate/provision/grow sequence. Shrink-continue
+					// arms the reclaim itself.
 					proactive = true
 					armed.At = armed.NoticeAt
 				}
@@ -373,6 +505,13 @@ func runMigrate(s *superSetup) (*RecoveryReport, *shrinkRunState, error) {
 			}
 		}
 
+		if shrinkOnly {
+			if err := execShrink(af.World, doomed, origSlots, stopAt); err != nil {
+				return nil, nil, err
+			}
+			continue
+		}
+
 		// Price the evacuation the window would have to absorb: the doomed
 		// ranks' restore-line shards re-mirrored off the doomed set,
 		// serialised through each doomed node's NIC. The restore line is
@@ -427,80 +566,6 @@ func runMigrate(s *superSetup) (*RecoveryReport, *shrinkRunState, error) {
 			detail = fmt.Sprintf("%s; spot last ticked at $%.3f/h", detail, market.Price())
 		}
 		rec.Record(stopAt, "migrate-decision", "%s for node %d: %s", dec.Verb, origNode, detail)
-
-		// execShrink is the reactive fallback shared by the "shrink" verb
-		// and a migrate whose provisioning ultimately failed: drop the
-		// whole doomed set in one multi-node shrink and continue degraded,
-		// exactly as PolicyShrink would.
-		execShrink := func() error {
-			for _, d := range doomed {
-				ms.loseNode(d)
-			}
-			line, lineAtS := ms.line(o.Steps - 1)
-			sr, err := af.World.ShrinkNodes(doomed[1:])
-			if err != nil {
-				return err
-			}
-			rep.Shrink.Shrinks++
-			rep.Shrink.RevokedMsgs += sr.Revoked
-			rep.Shrink.DeadNodes = append(rep.Shrink.DeadNodes, origSlots...)
-			survivors := sr.World.Size()
-			rec.Record(stopAt, "shrink", "world shrunk %d -> %d ranks (%d pending message(s) revoked)",
-				curRanks, survivors, sr.Revoked)
-
-			wasted := stopAt
-			if line >= 1 {
-				wasted = stopAt - lineAtS
-			}
-			rep.WastedVirtualS += wasted
-			rep.RecoveryCostUSD += tg.Billing.JobCost(wasted, curRanks)
-
-			newGrid, err := partition.BalancedGrid(survivors, m.Nx, m.Ny, m.Nz)
-			if err != nil {
-				return fmt.Errorf("bench: cannot repartition after shrink: %w", err)
-			}
-			nextApp := newShrinkApp(o.App, m, newGrid, o.Steps, survivors)
-			state.grid = newGrid
-			state.ranks = survivors
-			state.app = nextApp
-			if line >= 1 {
-				rec.Record(stopAt, "restore", "survivors resume from the mirrored checkpoint after step %d (rollback %.3fs)",
-					line, wasted)
-				rep.Shrink.RestoreStep = line
-				heldRD, heldNS, err := heldFromMirror(o.App, ms, sr.NewToOld, doomed, line)
-				if err != nil {
-					return err
-				}
-				nextApp.heldRD, nextApp.heldNS = heldRD, heldNS
-				state.lastHeldRD, state.lastHeldNS = heldRD, heldNS
-			} else {
-				rec.Record(stopAt, "restore", "no common mirrored step survived; survivors restart the stepping from scratch (cold shrink)")
-				rep.Shrink.RestoreStep = 0
-			}
-			suspect := make([]bool, curRanks)
-			for _, d := range sr.DeadRanks {
-				suspect[d] = true
-			}
-			nextApp.suspect = suspect
-			newTopo := sr.World.Topology()
-			ms = newMirrorStore(newTopo)
-			nextApp.mirror = ms
-			nextApp.meter = newBuddyMeter(survivors)
-			if newTopo.NNodes() < 2 {
-				rec.Record(stopAt, "unprotected", "single node left; diskless mirroring has no off-node partner")
-			}
-			for on := range nodeMap {
-				if nodeMap[on] >= 0 {
-					nodeMap[on] = sr.OldToNewNode[nodeMap[on]]
-				}
-			}
-			sr.World.Observe(o.Obs)
-			world = sr.World
-			app = nextApp
-			curRanks = survivors
-			rep.Degraded = true
-			return nil
-		}
 
 		switch dec.Verb {
 		case "migrate":
@@ -630,7 +695,7 @@ func runMigrate(s *superSetup) (*RecoveryReport, *shrinkRunState, error) {
 				gobs.MigrateDecision(provReadyAt, "shrink", window, copyCost)
 				rec.Record(provReadyAt, "migrate-decision", "shrink for node %d: replacement provisioning failed; falling back",
 					origNode)
-				if err := execShrink(); err != nil {
+				if err := execShrink(af.World, doomed, origSlots, stopAt); err != nil {
 					return nil, nil, err
 				}
 				continue
@@ -640,17 +705,11 @@ func runMigrate(s *superSetup) (*RecoveryReport, *shrinkRunState, error) {
 			// world ONCE around the survivors plus every acquired node —
 			// one shrink, one grow per recovery point, so overlapping
 			// events cannot double-restore.
-			for _, d := range doomed {
-				ms.loseNode(d)
-			}
-			sr, err := af.World.ShrinkNodes(doomed[1:])
+			sr, err := dropNodes(af.World, doomed, origSlots)
 			if err != nil {
 				return nil, nil, err
 			}
 			survivors := sr.World.Size()
-			rep.Shrink.Shrinks++
-			rep.Shrink.RevokedMsgs += sr.Revoked
-			rep.Shrink.DeadNodes = append(rep.Shrink.DeadNodes, origSlots...)
 
 			ranksPer := make([]int, 0, replaceN+regrowN)
 			groupsOf := make([]int, 0, replaceN+regrowN)
@@ -700,72 +759,35 @@ func runMigrate(s *superSetup) (*RecoveryReport, *shrinkRunState, error) {
 			if err != nil {
 				return nil, nil, fmt.Errorf("bench: cannot repartition after grow: %w", err)
 			}
-			nextApp := newShrinkApp(o.App, m, newGrid, o.Steps, newRanks)
-			state.grid = newGrid
-			state.ranks = newRanks
-			state.app = nextApp
 			if line >= 1 {
 				rec.Record(startAt, "restore", "continuation resumes from the evacuated checkpoint after step %d (rollback %.3fs)",
 					line, wasted)
-				rep.Shrink.RestoreStep = line
-				mg.RestoreStep = line
-				// Grown-world rank -> pre-drain rank: survivors map through
-				// the shrink, the joiners hold nothing.
-				toOld := make([]int, gw.World.Size())
-				for nr := range toOld {
-					if nr < len(sr.NewToOld) {
-						toOld[nr] = sr.NewToOld[nr]
-					} else {
-						toOld[nr] = -1
-					}
-				}
-				heldRD, heldNS, err := heldFromMirror(o.App, ms, toOld, doomed, line)
-				if err != nil {
-					return nil, nil, err
-				}
-				nextApp.heldRD, nextApp.heldNS = heldRD, heldNS
-				state.lastHeldRD, state.lastHeldNS = heldRD, heldNS
 			} else {
 				rec.Record(startAt, "restore", "no checkpoint preceded the notice; the full-width world restarts the stepping from scratch (cold migration)")
-				rep.Shrink.RestoreStep = 0
-				mg.RestoreStep = 0
 			}
-
-			// The continuation opens with the agreement collective over the
-			// pre-drain rank space.
-			suspect := make([]bool, curRanks)
-			for _, d := range sr.DeadRanks {
-				suspect[d] = true
+			rep.Shrink.RestoreStep = max(line, 0)
+			mg.RestoreStep = rep.Shrink.RestoreStep
+			// Grown-world rank -> pre-drain rank: survivors map through the
+			// shrink, the joiners hold nothing.
+			toOld := append([]int(nil), sr.NewToOld...)
+			for len(toOld) < newRanks {
+				toOld = append(toOld, -1)
 			}
-			nextApp.suspect = suspect
-
-			newTopo := gw.World.Topology()
-			ms = newMirrorStore(newTopo)
-			nextApp.mirror = ms
-			nextApp.meter = newBuddyMeter(newRanks)
-
-			for on := range nodeMap {
-				if nodeMap[on] >= 0 {
-					nodeMap[on] = sr.OldToNewNode[nodeMap[on]]
-				}
+			if err := resumeOn(gw.World, newGrid, sr, toOld, doomed, line); err != nil {
+				return nil, nil, err
 			}
 			// Replacements inherit the plan slots they replaced (roles,
 			// not instances) so storm cascades can target them.
 			for i := 0; i < replaceN && i < len(gw.NewNodes); i++ {
 				nodeMap[origSlots[i]] = gw.NewNodes[i]
 			}
-			gw.World.Observe(o.Obs)
-			world = gw.World
-			app = nextApp
-			curRanks = newRanks
 			rep.Degraded = curRanks < o.Ranks
 
 		case "shrink":
-			// Reactive fallback: the shrink-and-continue sequence, exactly
-			// as PolicyShrink runs it (one multi-node shrink for a
-			// coalesced group).
+			// Reactive fallback: one multi-node shrink for the whole
+			// coalesced group.
 			mg.FallbackShrinks++
-			if err := execShrink(); err != nil {
+			if err := execShrink(af.World, doomed, origSlots, stopAt); err != nil {
 				return nil, nil, err
 			}
 
@@ -786,10 +808,8 @@ func runMigrate(s *superSetup) (*RecoveryReport, *shrinkRunState, error) {
 			if err != nil {
 				return nil, nil, err
 			}
-			ms = newMirrorStore(freshTopo)
-			nextApp := newShrinkApp(o.App, m, state.grid, o.Steps, curRanks)
-			nextApp.mirror = ms
-			nextApp.meter = newBuddyMeter(curRanks)
+			nextApp := app.regrid(state.grid, curRanks)
+			protect(nextApp, freshTopo)
 			state.app = nextApp
 			world = nil
 			app = nextApp

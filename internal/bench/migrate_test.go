@@ -127,7 +127,7 @@ func TestMigrateContinuesBitIdentical(t *testing.T) {
 	o.Obs = obs.NewRun()
 	s := warmPreemptSetup(t, o, 0.6, 0.9)
 	noticeAt := s.plan.Events[0].NoticeAt
-	rep, st, err := runMigrate(s)
+	rep, st, err := runElastic(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,11 +160,10 @@ func TestMigrateContinuesBitIdentical(t *testing.T) {
 
 	// Fault-free comparator at the same width, from scratch, on a fresh
 	// target, with its own journal.
-	m, grid, mem, err := weakSetup(o.App, o.Ranks, o.PerRankN)
+	comp, mem, err := newRankApp(o.App, o.Ranks, o.PerRankN, o.Steps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	comp := newShrinkApp(o.App, m, grid, o.Steps, o.Ranks)
 	tg, err := core.NewTarget(o.Platform, o.Seed)
 	if err != nil {
 		t.Fatal(err)
@@ -243,7 +242,7 @@ func TestMigrateWarmWastesLessThanShrink(t *testing.T) {
 	o.Policy = PolicyMigrate
 	sm := warmPreemptSetup(t, o, 0.88, 0.9)
 	plan := *sm.plan
-	repM, _, err := runMigrate(sm)
+	repM, _, err := runElastic(sm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +253,7 @@ func TestMigrateWarmWastesLessThanShrink(t *testing.T) {
 		t.Fatal(err)
 	}
 	ss.plan = &plan
-	repS, _, err := runShrinkContinue(ss)
+	repS, _, err := runElastic(ss)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +310,7 @@ func TestMigrateFallsBackWhenWindowTooShort(t *testing.T) {
 	s.plan = &fault.Plan{Seed: o.Seed, Events: []fault.Event{{
 		Kind: fault.KindPreempt, Node: 1, At: at, NoticeAt: at - 1e-9,
 	}}}
-	rep, _, err := runMigrate(s)
+	rep, _, err := runElastic(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +333,7 @@ func TestMigrateFallsBackReactiveOnCrash(t *testing.T) {
 	o := shrinkOpts("rd")
 	o.Policy = PolicyMigrate
 	s := midRunSetup(t, o, 0.6)
-	rep, _, err := runMigrate(s)
+	rep, _, err := runElastic(s)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,6 +42,7 @@ func RunPlacement(o Options) (*PlacementResult, error) {
 	}
 	const groups = 4
 	res := &PlacementResult{Groups: groups}
+	mem := rdWorkload.memGB(o.PerRankN)
 	for _, ranks := range WeakSeries {
 		if ranks > o.MaxRanks {
 			break
@@ -51,7 +52,7 @@ func RunPlacement(o Options) (*PlacementResult, error) {
 		// supply.
 		market := spot.NewMarket(o.Seed+uint64(ranks), tg.Platform.CostPerNodeHour)
 		market.Observe(o.Obs)
-		app, mem, err := newApp("rd", ranks, o)
+		app, err := rdWorkload.weak(ranks, o.PerRankN, o.Steps)
 		if err != nil {
 			return nil, err
 		}
@@ -76,7 +77,7 @@ func RunPlacement(o Options) (*PlacementResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		appMix, _, err := newApp("rd", ranks, o)
+		appMix, err := rdWorkload.weak(ranks, o.PerRankN, o.Steps)
 		if err != nil {
 			return nil, err
 		}

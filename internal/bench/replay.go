@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync"
 
-	"heterohpc/internal/checkpoint"
 	"heterohpc/internal/core"
 	"heterohpc/internal/obs"
 )
@@ -87,7 +86,7 @@ type ReplayDump struct {
 // with step ≤ anchor — phase 1 of the replay taps the scenario's
 // checkpoint stream through it. It also implements snapStore directly
 // (saves tap, restores find nothing) so an unsupervised phase-1 run can
-// hand it straight to supervisedApp.
+// hand it straight to rankApp.
 type anchorStore struct {
 	mu     sync.Mutex
 	width  int
@@ -240,10 +239,11 @@ func ReplayFromCheckpoint(o ReplayOptions) (*ReplayDump, error) {
 		if err != nil {
 			return nil, err
 		}
-		app, mem, err := newSupervisedApp(o.App, o.Ranks, o.PerRankN, o.Steps, anchors)
+		app, mem, err := newRankApp(o.App, o.Ranks, o.PerRankN, o.Steps)
 		if err != nil {
 			return nil, err
 		}
+		app.store = anchors
 		if _, err := tg.Run(core.JobSpec{
 			Ranks: o.Ranks, RanksPerNode: o.RanksPerNode, App: app,
 			SkipSteps: o.SkipSteps, MemPerRankGB: mem,
@@ -262,10 +262,11 @@ func ReplayFromCheckpoint(o ReplayOptions) (*ReplayDump, error) {
 		return nil, err
 	}
 	rstore := newReplayStore(anchors.blobsAt(line))
-	app, mem, err := newSupervisedApp(o.App, o.Ranks, o.PerRankN, divStep, rstore)
+	app, mem, err := newRankApp(o.App, o.Ranks, o.PerRankN, divStep)
 	if err != nil {
 		return nil, err
 	}
+	app.store = rstore
 	rep, err := tg.Run(core.JobSpec{
 		Ranks: o.Ranks, RanksPerNode: o.RanksPerNode, App: app,
 		SkipSteps: o.SkipSteps, MemPerRankGB: mem, Obs: run,
@@ -317,24 +318,12 @@ func ReplayFromCheckpoint(o ReplayOptions) (*ReplayDump, error) {
 		if sn.blob == nil {
 			continue
 		}
-		switch o.App {
-		case "rd":
-			st, _, _, _, rerr := checkpoint.ReadRD(bytes.NewReader(sn.blob))
-			if rerr != nil {
-				return nil, fmt.Errorf("bench: replay checkpoint of rank %d: %w", rank, rerr)
-			}
-			rs.StepsDone = st.StepsDone
-			rs.StateTime = st.Time
-			rs.StateL2, rs.StateMax = stateNorms(st.U1)
-		default: // "ns"
-			st, _, _, _, rerr := checkpoint.ReadNSE(bytes.NewReader(sn.blob))
-			if rerr != nil {
-				return nil, fmt.Errorf("bench: replay checkpoint of rank %d: %w", rank, rerr)
-			}
-			rs.StepsDone = st.StepsDone
-			rs.StateTime = st.Time
-			rs.StateL2, rs.StateMax = stateNorms(append(append(append([]float64(nil), st.U1[0]...), st.U1[1]...), st.U1[2]...))
+		f, rerr := app.w.decode(sn.blob)
+		if rerr != nil {
+			return nil, fmt.Errorf("bench: replay checkpoint of rank %d: %w", rank, rerr)
 		}
+		rs.StepsDone, rs.StateTime = f.steps, f.time
+		rs.StateL2, rs.StateMax = app.w.norms(f)
 	}
 	return dump, nil
 }
@@ -385,12 +374,16 @@ func PointJournal(app, platform string, ranks int, o Options) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	a, mem, err := newApp(app, ranks, o)
+	w, err := workloadFor(app)
+	if err != nil {
+		return nil, err
+	}
+	a, err := w.weak(ranks, o.PerRankN, o.Steps)
 	if err != nil {
 		return nil, err
 	}
 	if _, err := tg.Run(core.JobSpec{
-		Ranks: ranks, App: a, SkipSteps: o.SkipSteps, MemPerRankGB: mem, Obs: run,
+		Ranks: ranks, App: a, SkipSteps: o.SkipSteps, MemPerRankGB: w.memGB(o.PerRankN), Obs: run,
 	}); err != nil {
 		return nil, err
 	}

@@ -6,23 +6,16 @@ package bench
 // checkpoints — and resume time-stepping mid-run at the degraded rank
 // count. The mesh does not shrink with the job: the survivor count is
 // rarely cubic, so the same global mesh is re-partitioned onto whatever
-// balanced grid internal/partition can factor.
+// balanced grid internal/partition can factor. PolicyShrink runs this as
+// the shrink-only ladder of the elastic loop in migrate.go; this file holds
+// the diskless checkpoint store it restores from.
 
 import (
-	"bytes"
 	"fmt"
 	"sync"
 
 	"heterohpc/internal/checkpoint"
-	"heterohpc/internal/core"
-	"heterohpc/internal/fault"
-	"heterohpc/internal/mesh"
 	"heterohpc/internal/mp"
-	"heterohpc/internal/nse"
-	"heterohpc/internal/partition"
-	"heterohpc/internal/rd"
-	"heterohpc/internal/trace"
-	"heterohpc/internal/vclock"
 )
 
 // Application tags of the recovery machinery; the solvers use 1000–2600.
@@ -227,180 +220,6 @@ func (m *buddyMeter) fold() (float64, int64) {
 	return max, m.bytes
 }
 
-// weakSetup builds the weak-scaling problem shared by all generations of a
-// shrink run: the FIXED global mesh (sized by the submitted rank count —
-// it never shrinks), the initial cubic grid, and the per-rank memory.
-func weakSetup(app string, ranks, perRankN int) (*mesh.Mesh, [3]int, float64, error) {
-	p, err := mesh.CubeGrid(ranks)
-	if err != nil {
-		return nil, [3]int{}, 0, fmt.Errorf("bench: weak scaling needs cubic rank counts: %w", err)
-	}
-	n := perRankN * p
-	switch app {
-	case "rd":
-		return mesh.NewUnitCube(n), [3]int{p, p, p}, core.MemPerRankGB(perRankN, 1), nil
-	case "ns":
-		m, err := mesh.NewBox(mesh.SymmetricBox, n, n, n)
-		if err != nil {
-			return nil, [3]int{}, 0, err
-		}
-		return m, [3]int{p, p, p}, core.MemPerRankGB(perRankN, 4), nil
-	default:
-		return nil, [3]int{}, 0, fmt.Errorf("bench: unknown application %q (want rd or ns)", app)
-	}
-}
-
-// shrinkApp runs one generation of a shrink-and-continue job: optionally
-// the agreement collective, optionally a redistribution from held buddy
-// fragments, then the solver with diskless mirroring after every step.
-// With suspect and mirror nil and no held state it is a plain run at the
-// current world size — the comparator shape for bit-identity checks.
-type shrinkApp struct {
-	name  string
-	m     *mesh.Mesh
-	grid  [3]int
-	steps int
-	// heldRD/heldNS are per-rank fragment lists for the redistribution
-	// (nil: initialise from scratch — first generation or cold shrink).
-	heldRD [][]rd.HeldState
-	heldNS [][]nse.HeldState
-	// suspect is the local suspicion bitmap every rank feeds AgreeDead
-	// (nil: no agreement round — first generation or comparator).
-	suspect []bool
-	// mirror/meter enable diskless buddy checkpointing (nil: unprotected).
-	mirror *mirrorStore
-	meter  *buddyMeter
-
-	// Per-rank observations, collected under mu for the supervisor.
-	mu         sync.Mutex
-	agreeS     []float64
-	redistS    []float64
-	agreedDead []bool
-	finalIDs   [][]int
-	finalVals  [][]float64
-}
-
-func newShrinkApp(name string, m *mesh.Mesh, grid [3]int, steps, ranks int) *shrinkApp {
-	return &shrinkApp{
-		name: name, m: m, grid: grid, steps: steps,
-		agreeS:    make([]float64, ranks),
-		redistS:   make([]float64, ranks),
-		finalIDs:  make([][]int, ranks),
-		finalVals: make([][]float64, ranks),
-	}
-}
-
-// Name implements core.App.
-func (a *shrinkApp) Name() string { return a.name }
-
-// Run implements core.App.
-func (a *shrinkApp) Run(r *mp.Rank) ([]vclock.PhaseTimes, map[string]float64, error) {
-	rank, size := r.ID(), r.Size()
-	if a.suspect != nil {
-		t0 := r.Wtime()
-		agreed := r.AgreeDead(a.suspect)
-		a.mu.Lock()
-		a.agreeS[rank] = r.Wtime() - t0
-		if rank == 0 {
-			a.agreedDead = agreed
-		}
-		a.mu.Unlock()
-	}
-	if a.name == "rd" {
-		cfg := rd.Config{Mesh: a.m, Grid: a.grid, Steps: a.steps}
-		var owned []int
-		if a.heldRD != nil {
-			t0 := r.Wtime()
-			st, ow, err := rd.Redistribute(r, a.m, a.grid, a.heldRD[rank], tagRedist)
-			if err != nil {
-				return nil, nil, err
-			}
-			a.mu.Lock()
-			a.redistS[rank] = r.Wtime() - t0
-			a.mu.Unlock()
-			owned = ow
-			cfg.Resume = &st
-			r.Obs().Checkpoint("ckpt-restore", st.StepsDone, 0)
-		} else {
-			l, err := mesh.NewLocalFromBlock(a.m, a.grid[0], a.grid[1], a.grid[2], rank)
-			if err != nil {
-				return nil, nil, err
-			}
-			owned = l.VertGlobal[:l.NumOwned]
-		}
-		cfg.Checkpoint = func(st rd.State) error {
-			if a.mirror != nil {
-				var buf bytes.Buffer
-				if err := checkpoint.WriteRD(&buf, st, rank, size, owned); err != nil {
-					return err
-				}
-				a.mirror.putOwn(rank, st.StepsDone, r.Wtime(), buf.Bytes())
-				t0 := r.Wtime()
-				for _, mr := range checkpoint.Mirror(r, tagMirror, buf.Bytes()) {
-					a.mirror.putBuddy(mr.Origin, st.StepsDone, r.Wtime(), mr.Blob)
-				}
-				a.meter.add(rank, r.Wtime()-t0, buf.Len())
-			}
-			if st.StepsDone == a.steps {
-				a.mu.Lock()
-				a.finalIDs[rank] = owned
-				a.finalVals[rank] = append([]float64(nil), st.U1...)
-				a.mu.Unlock()
-			}
-			return nil
-		}
-		return core.RDApp{Cfg: cfg}.Run(r)
-	}
-
-	cfg := nse.Config{Mesh: a.m, Grid: a.grid, Steps: a.steps}
-	var owned []int
-	if a.heldNS != nil {
-		t0 := r.Wtime()
-		st, ow, err := nse.Redistribute(r, a.m, a.grid, a.heldNS[rank], tagRedist)
-		if err != nil {
-			return nil, nil, err
-		}
-		a.mu.Lock()
-		a.redistS[rank] = r.Wtime() - t0
-		a.mu.Unlock()
-		owned = ow
-		cfg.Resume = &st
-		r.Obs().Checkpoint("ckpt-restore", st.StepsDone, 0)
-	} else {
-		l, err := mesh.NewLocalFromBlock(a.m, a.grid[0], a.grid[1], a.grid[2], rank)
-		if err != nil {
-			return nil, nil, err
-		}
-		owned = l.VertGlobal[:l.NumOwned]
-	}
-	cfg.Checkpoint = func(st nse.State) error {
-		if a.mirror != nil {
-			var buf bytes.Buffer
-			if err := checkpoint.WriteNSE(&buf, st, rank, size, owned); err != nil {
-				return err
-			}
-			a.mirror.putOwn(rank, st.StepsDone, r.Wtime(), buf.Bytes())
-			t0 := r.Wtime()
-			for _, mr := range checkpoint.Mirror(r, tagMirror, buf.Bytes()) {
-				a.mirror.putBuddy(mr.Origin, st.StepsDone, r.Wtime(), mr.Blob)
-			}
-			a.meter.add(rank, r.Wtime()-t0, buf.Len())
-		}
-		if st.StepsDone == a.steps {
-			vals := make([]float64, 0, 4*len(st.P))
-			for i := range st.P {
-				vals = append(vals, st.U1[0][i], st.U1[1][i], st.U1[2][i], st.P[i])
-			}
-			a.mu.Lock()
-			a.finalIDs[rank] = owned
-			a.finalVals[rank] = vals
-			a.mu.Unlock()
-		}
-		return nil
-	}
-	return core.NSApp{Cfg: cfg}.Run(r)
-}
-
 // maxOf returns the per-rank maximum of a recorded vector.
 func maxOf(v []float64) float64 {
 	var max float64
@@ -418,323 +237,54 @@ func maxOf(v []float64) float64 {
 // hold nothing). Each pre-loss rank contributes its own surviving snapshot
 // at the restore line, the buddy copies it holds for origins that lived on
 // the dead nodes, and any refugee copies a correlated-wave evacuation
-// re-homed onto it. Exactly one of the returned lists is non-nil, matching
-// app.
-func heldFromMirror(app string, ms *mirrorStore, toOld []int, deadNodes []int, line int) ([][]rd.HeldState, [][]nse.HeldState, error) {
+// re-homed onto it.
+func heldFromMirror(w *workload, ms *mirrorStore, toOld []int, deadNodes []int, line int) ([][]fragment, error) {
 	deadSet := make([]bool, ms.topo.NNodes())
 	for _, n := range deadNodes {
 		deadSet[n] = true
 	}
-	heldOf := func(holderOld int) ([]mirrorSnap, []int) {
-		var snaps []mirrorSnap
-		var origins []int
-		if sn, ok := ms.snapAt(holderOld, line); ok {
-			snaps = append(snaps, sn)
-			origins = append(origins, holderOld)
-		}
-		for _, origin := range checkpoint.Protects(ms.topo, holderOld) {
-			if !deadSet[ms.topo.NodeOf[origin]] {
-				continue // origin alive: it contributes its own copy
-			}
-			if bs, ok := ms.snapAt(origin, line); ok {
-				snaps = append(snaps, bs)
-				origins = append(origins, origin)
-			}
-		}
-		for origin := 0; origin < ms.topo.NRanks(); origin++ {
-			if rs, holder, ok := ms.refAt(origin, line); ok && holder == holderOld {
-				snaps = append(snaps, rs)
-				origins = append(origins, origin)
-			}
-		}
-		return snaps, origins
-	}
-	if app == "rd" {
-		held := make([][]rd.HeldState, len(toOld))
-		for newR, oldR := range toOld {
-			if oldR < 0 {
-				continue
-			}
-			snaps, origins := heldOf(oldR)
-			for i, sn := range snaps {
-				st, _, _, ids, err := checkpoint.ReadRD(bytes.NewReader(sn.blob))
-				if err != nil {
-					return nil, nil, fmt.Errorf("bench: corrupt mirrored checkpoint of rank %d: %w", origins[i], err)
-				}
-				held[newR] = append(held[newR], rd.HeldState{Rank: origins[i], OwnedIDs: ids, State: st})
-			}
-		}
-		return held, nil, nil
-	}
-	held := make([][]nse.HeldState, len(toOld))
+	held := make([][]fragment, len(toOld))
 	for newR, oldR := range toOld {
 		if oldR < 0 {
 			continue
 		}
-		snaps, origins := heldOf(oldR)
-		for i, sn := range snaps {
-			st, _, _, ids, err := checkpoint.ReadNSE(bytes.NewReader(sn.blob))
-			if err != nil {
-				return nil, nil, fmt.Errorf("bench: corrupt mirrored checkpoint of rank %d: %w", origins[i], err)
+		var origins []int
+		var snaps []mirrorSnap
+		if sn, ok := ms.snapAt(oldR, line); ok {
+			origins, snaps = append(origins, oldR), append(snaps, sn)
+		}
+		for _, origin := range checkpoint.Protects(ms.topo, oldR) {
+			if !deadSet[ms.topo.NodeOf[origin]] {
+				continue // origin alive: it contributes its own copy
 			}
-			held[newR] = append(held[newR], nse.HeldState{Rank: origins[i], OwnedIDs: ids, State: st})
+			if sn, ok := ms.snapAt(origin, line); ok {
+				origins, snaps = append(origins, origin), append(snaps, sn)
+			}
+		}
+		for origin := 0; origin < ms.topo.NRanks(); origin++ {
+			if sn, holder, ok := ms.refAt(origin, line); ok && holder == oldR {
+				origins, snaps = append(origins, origin), append(snaps, sn)
+			}
+		}
+		for i, sn := range snaps {
+			f, err := w.decode(sn.blob)
+			if err != nil {
+				return nil, fmt.Errorf("bench: corrupt mirrored checkpoint of rank %d: %w", origins[i], err)
+			}
+			f.rank = origins[i]
+			held[newR] = append(held[newR], f)
 		}
 	}
-	return nil, held, nil
+	return held, nil
 }
 
 // shrinkRunState exposes the final generation's internals to the package
 // tests (held fragments and the final field for bit-identity comparisons).
 type shrinkRunState struct {
-	lastHeldRD [][]rd.HeldState
-	lastHeldNS [][]nse.HeldState
-	grid       [3]int
-	ranks      int
-	app        *shrinkApp
-}
-
-// runShrinkContinue is the shrink-and-continue recovery loop.
-func runShrinkContinue(s *superSetup) (*RecoveryReport, *shrinkRunState, error) {
-	o := s.o
-	tg := s.tg
-	if s.nodes < 2 {
-		return nil, nil, fmt.Errorf("bench: shrink-and-continue needs at least 2 nodes for buddy checkpoints (placement has %d); lower RanksPerNode or raise Ranks",
-			s.nodes)
-	}
-	plan := s.plan
-	fatals := plan.Failures()
-	degrades := plan.Degradations()
-	maxAttempts := o.MaxAttempts
-	if maxAttempts == 0 {
-		maxAttempts = len(fatals) + 3
-	}
-
-	rep := &RecoveryReport{
-		Platform: o.Platform, App: o.App, Policy: PolicyShrink,
-		Ranks: o.Ranks, FinalRanks: o.Ranks,
-		Plan: plan, Clean: s.clean, CleanVirtualS: s.cleanS,
-		Shrink: &ShrinkStats{},
-	}
-	var rec trace.Recorder
-	rec.Observe(o.Obs)
-
-	m, grid, mem, err := weakSetup(o.App, o.Ranks, o.PerRankN)
-	if err != nil {
-		return nil, nil, err
-	}
-
-	topo, err := mp.BlockTopology(o.Ranks, s.cpn)
-	if err != nil {
-		return nil, nil, err
-	}
-	ms := newMirrorStore(topo)
-	app := newShrinkApp(o.App, m, grid, o.Steps, o.Ranks)
-	app.mirror = ms
-	app.meter = newBuddyMeter(o.Ranks)
-
-	// nodeMap translates the plan's original node numbering into the
-	// current world's; shrinks compose into it.
-	nodeMap := make([]int, s.nodes)
-	for i := range nodeMap {
-		nodeMap[i] = i
-	}
-	var world *mp.World // nil: launch via Attempt; else resume the shrunk world
-	curRanks := o.Ranks
-	state := &shrinkRunState{grid: grid, ranks: curRanks, app: app}
-
-	// foldGen folds the finished generation's per-rank observations into
-	// the report (called after every attempt, success or failure).
-	foldGen := func() {
-		if app.meter != nil {
-			over, nbytes := app.meter.fold()
-			rep.Shrink.BuddyOverheadS += over
-			rep.Shrink.BuddyBytes += nbytes
-		}
-		rep.Shrink.AgreeS += maxOf(app.agreeS)
-		rep.Shrink.RedistributeS += maxOf(app.redistS)
-	}
-
-	for attempt := 1; attempt <= maxAttempts; attempt++ {
-		rep.Attempts = attempt
-
-		// Drop scheduled fatals aimed at nodes that no longer exist.
-		for len(fatals) > 0 {
-			if ev := fault.Remap(fatals[:1], nodeMap); len(ev) == 0 {
-				rec.Record(fatals[0].At, "drop", "scheduled %s targets node %d, already lost; dropping it",
-					fatals[0].Kind, fatals[0].Node)
-				fatals = fatals[1:]
-				continue
-			}
-			break
-		}
-		events := fault.Remap(degrades, nodeMap)
-		if len(fatals) > 0 {
-			armed := fault.Remap(fatals[:1], nodeMap)
-			events = append(events, armed...)
-			if fatals[0].Kind == fault.KindPreempt {
-				rec.Record(fatals[0].NoticeAt, "notice",
-					"spot interruption notice for node %d (reclaim at t=%.1fs)", fatals[0].Node, fatals[0].At)
-			}
-		}
-
-		var result *core.Report
-		var af *core.AttemptFailure
-		if world == nil {
-			result, af, err = tg.Attempt(core.JobSpec{
-				Ranks: curRanks, RanksPerNode: o.RanksPerNode, App: app,
-				SkipSteps: o.SkipSteps, MemPerRankGB: mem, Faults: events, Obs: o.Obs,
-			})
-		} else {
-			result, af, err = tg.ResumeAttempt(world, app, o.SkipSteps, events)
-		}
-		if err != nil {
-			return nil, nil, err
-		}
-		foldGen()
-		if app.suspect != nil && app.agreedDead != nil {
-			deadList := []int{}
-			for r, d := range app.agreedDead {
-				if d {
-					deadList = append(deadList, r)
-				}
-			}
-			rec.Record(0, "agree", "survivors agreed on dead ranks %v in %.4fs (max over ranks)",
-				deadList, maxOf(app.agreeS))
-		}
-		if af == nil {
-			rep.Final = result
-			rep.FinalRanks = curRanks
-			rep.FinalVirtualS = virtualDuration(result)
-			if world != nil {
-				rep.MakespanS = world.MaxVirtualTime()
-			} else {
-				rep.MakespanS = rep.FinalVirtualS
-			}
-			rep.Shrink.Survivors = curRanks
-			rep.Shrink.Grid = app.grid
-			rec.Record(rep.MakespanS, "complete", "attempt %d finished on %d ranks (grid %dx%dx%d)",
-				attempt, curRanks, app.grid[0], app.grid[1], app.grid[2])
-			rep.Decisions = rec.Decisions()
-			return rep, state, nil
-		}
-
-		if fault.Classify(af) != fault.ClassNodeLoss {
-			rep.Decisions = rec.Decisions()
-			return nil, nil, fmt.Errorf("bench: unrecoverable %v failure: %w", fault.Classify(af), af)
-		}
-		kind := "crash"
-		if len(fatals) > 0 && fatals[0].Kind == fault.KindPreempt {
-			kind = "preemption"
-		}
-		// Translate the lost node back to the plan's numbering for the log.
-		origNode := -1
-		for on, cn := range nodeMap {
-			if cn == af.Node {
-				origNode = on
-			}
-		}
-		rec.Record(af.At, "failure", "%s killed node %d at t=%.1fs (attempt %d): %v",
-			kind, origNode, af.At, attempt, fault.Classify(af))
-		if len(fatals) > 0 {
-			fatals = fatals[1:]
-		}
-
-		// What survives in memory, and which step every survivor can agree
-		// to resume from. Resumption must leave at least one step to run,
-		// so the line is capped at Steps-1.
-		ms.loseNode(af.Node)
-		line, lineAtS := ms.line(o.Steps - 1)
-
-		sr, err := af.World.Shrink()
-		if err != nil {
-			return nil, nil, err
-		}
-		rep.Shrink.Shrinks++
-		rep.Shrink.RevokedMsgs += sr.Revoked
-		rep.Shrink.DeadNodes = append(rep.Shrink.DeadNodes, origNode)
-		survivors := sr.World.Size()
-		rec.Record(af.At, "shrink", "world shrunk %d -> %d ranks (%d pending message(s) revoked)",
-			curRanks, survivors, sr.Revoked)
-
-		// Only the rolled-back span is wasted: survivors keep their work up
-		// to the restore line. A cold shrink (no surviving common line)
-		// rolls all the way back to the start.
-		wasted := af.At
-		if line >= 1 {
-			wasted = af.At - lineAtS
-		}
-		rep.WastedVirtualS += wasted
-		rep.RecoveryCostUSD += tg.Billing.JobCost(wasted, curRanks)
-
-		newGrid, err := partition.BalancedGrid(survivors, m.Nx, m.Ny, m.Nz)
-		if err != nil {
-			return nil, nil, fmt.Errorf("bench: cannot repartition after shrink: %w", err)
-		}
-		rec.Record(af.At, "repartition", "global mesh %dx%dx%d re-partitioned onto grid %dx%dx%d",
-			m.Nx, m.Ny, m.Nz, newGrid[0], newGrid[1], newGrid[2])
-		if part, perr := partition.Block(m, newGrid[0], newGrid[1], newGrid[2]); perr == nil {
-			if q, qerr := partition.Evaluate(partition.DualGraph{M: m}, part, survivors); qerr == nil {
-				rep.Shrink.PartitionImbalance = q.Imbalance
-			}
-		}
-
-		// Build the held-fragment lists: every survivor contributes its own
-		// snapshot plus the buddy copies it holds for dead origins.
-		nextApp := newShrinkApp(o.App, m, newGrid, o.Steps, survivors)
-		state.grid = newGrid
-		state.ranks = survivors
-		state.app = nextApp
-		if line >= 1 {
-			rec.Record(af.At, "restore", "survivors resume from the mirrored checkpoint after step %d (rollback %.3fs)",
-				line, wasted)
-			rep.Shrink.RestoreStep = line
-			heldRD, heldNS, err := heldFromMirror(o.App, ms, sr.NewToOld, []int{af.Node}, line)
-			if err != nil {
-				return nil, nil, err
-			}
-			nextApp.heldRD, nextApp.heldNS = heldRD, heldNS
-			state.lastHeldRD, state.lastHeldNS = heldRD, heldNS
-		} else {
-			rec.Record(af.At, "restore", "no common mirrored step survived; survivors restart the stepping from scratch (cold shrink)")
-			rep.Shrink.RestoreStep = 0
-		}
-
-		// The continuation opens with the agreement collective over the
-		// pre-shrink rank space.
-		suspect := make([]bool, curRanks)
-		for _, d := range sr.DeadRanks {
-			suspect[d] = true
-		}
-		nextApp.suspect = suspect
-
-		// Mirroring continues on the survivor topology while at least two
-		// nodes remain.
-		newTopo := sr.World.Topology()
-		if newTopo.NNodes() >= 2 {
-			ms = newMirrorStore(newTopo)
-			nextApp.mirror = ms
-			nextApp.meter = newBuddyMeter(survivors)
-		} else {
-			ms = newMirrorStore(newTopo) // single node: no buddies, line() will be cold
-			rec.Record(af.At, "unprotected", "single node left; diskless mirroring has no off-node partner")
-		}
-
-		for on := range nodeMap {
-			if nodeMap[on] >= 0 {
-				nodeMap[on] = sr.OldToNewNode[nodeMap[on]]
-			}
-		}
-		// The shrunk world is a fresh mp.World: re-attach the observer so
-		// the continuation's traffic lands in the same journal.
-		sr.World.Observe(o.Obs)
-		world = sr.World
-		app = nextApp
-		curRanks = survivors
-		rep.Degraded = true
-	}
-	rep.Decisions = rec.Decisions()
-	return nil, nil, fmt.Errorf("bench: gave up after %d attempts (%d fault(s) outstanding)",
-		maxAttempts, len(fatals))
+	lastHeld [][]fragment
+	grid     [3]int
+	ranks    int
+	app      *rankApp
 }
 
 // RecoveryComparison pits the three policies against the identical fault

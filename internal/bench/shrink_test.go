@@ -35,7 +35,7 @@ func midRunSetup(t *testing.T, o FaultOptions, frac float64) *superSetup {
 
 func TestShrinkContinueRecoversMidRun(t *testing.T) {
 	s := midRunSetup(t, shrinkOpts("rd"), 0.6)
-	rep, st, err := runShrinkContinue(s)
+	rep, st, err := runElastic(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestShrinkContinueRecoversMidRun(t *testing.T) {
 		t.Fatalf("makespan %.3f should exceed the continuation's own %.3f (clocks carry)",
 			rep.MakespanS, rep.FinalVirtualS)
 	}
-	if st.ranks != 6 || st.lastHeldRD == nil {
+	if st.ranks != 6 || st.lastHeld == nil {
 		t.Fatalf("run state %+v lacks held fragments", st)
 	}
 }
@@ -74,7 +74,7 @@ func TestShrinkContinueRecoversMidRun(t *testing.T) {
 func TestShrinkContinueFinalSolutionBitIdentical(t *testing.T) {
 	o := shrinkOpts("rd")
 	s := midRunSetup(t, o, 0.6)
-	rep, st, err := runShrinkContinue(s)
+	rep, st, err := runElastic(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,12 +83,12 @@ func TestShrinkContinueFinalSolutionBitIdentical(t *testing.T) {
 	// same redistributed snapshot — no agreement round, no mirroring, a
 	// fresh target. Redistribution is a pure permutation, so the recovered
 	// run must match it bit for bit.
-	m, _, mem, err := weakSetup(o.App, o.Ranks, o.PerRankN)
+	base, mem, err := newRankApp(o.App, o.Ranks, o.PerRankN, o.Steps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	comp := newShrinkApp(o.App, m, st.grid, o.Steps, st.ranks)
-	comp.heldRD = st.lastHeldRD
+	comp := base.regrid(st.grid, st.ranks)
+	comp.held = st.lastHeld
 	tg, err := core.NewTarget(o.Platform, o.Seed)
 	if err != nil {
 		t.Fatal(err)
@@ -176,7 +176,7 @@ func TestShrinkContinueNavierStokes(t *testing.T) {
 	o.PerRankN = 2
 	o.Steps = 3
 	s := midRunSetup(t, o, 0.5)
-	rep, st, err := runShrinkContinue(s)
+	rep, st, err := runElastic(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestShrinkContinueNavierStokes(t *testing.T) {
 	if v := rep.Final.Metrics["vel_max_err"]; math.IsNaN(v) || v <= 0 {
 		t.Fatalf("ns continuation produced vel_max_err %v", v)
 	}
-	if st.lastHeldNS == nil && rep.Shrink.RestoreStep >= 1 {
+	if st.lastHeld == nil && rep.Shrink.RestoreStep >= 1 {
 		t.Fatal("warm ns restore without held fragments")
 	}
 }
@@ -199,7 +199,7 @@ func TestShrinkPolicyNeedsTwoNodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := runShrinkContinue(s); err == nil {
+	if _, _, err := runElastic(s); err == nil {
 		t.Fatal("single-node placement accepted for shrink-and-continue")
 	}
 }
@@ -209,5 +209,73 @@ func TestRunSupervisedRejectsUnknownPolicy(t *testing.T) {
 	o.Policy = "abandon-ship"
 	if _, err := RunSupervised(o); err == nil || !strings.Contains(err.Error(), "abandon-ship") {
 		t.Fatalf("unknown policy accepted: %v", err)
+	}
+}
+
+// twoNodeSetup spreads 8 puma ranks four per node over two nodes, so a
+// node loss leaves a one-node world with no off-node buddy, and plans
+// crashes of the given nodes at the given fractions of the clean virtual
+// duration.
+func twoNodeSetup(t *testing.T, policy string, crashes ...fault.Event) *superSetup {
+	t.Helper()
+	o := shrinkOpts("rd")
+	o.Policy = policy
+	o.RanksPerNode = 4
+	s, err := newSuperSetup(o.withDefaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.nodes != 2 {
+		t.Fatalf("placement has %d nodes, want 2", s.nodes)
+	}
+	evs := make([]fault.Event, len(crashes))
+	for i, e := range crashes {
+		evs[i] = fault.Event{Kind: fault.KindCrash, Node: e.Node, At: e.At * s.cleanS}
+	}
+	s.plan = &fault.Plan{Seed: o.Seed, Events: evs}
+	return s
+}
+
+// TestOneNodeWorldMirrorsNothing pins that a world left on a single node
+// is unmirrored under both elastic policies: checkpoint.Mirror sends
+// nothing without an off-node buddy, so no bytes may be metered for it.
+func TestOneNodeWorldMirrorsNothing(t *testing.T) {
+	crash := fault.Event{Node: 1, At: 0.6}
+	var buddy [2]int64
+	for i, policy := range []string{PolicyShrink, PolicyMigrate} {
+		rep, _, err := runElastic(twoNodeSetup(t, policy, crash))
+		if err != nil {
+			t.Fatalf("%s: %v", policy, err)
+		}
+		if rep.FinalRanks != 4 {
+			t.Fatalf("%s finished on %d ranks, want the 4 survivors", policy, rep.FinalRanks)
+		}
+		buddy[i] = rep.Shrink.BuddyBytes
+	}
+	if buddy[0] == 0 || buddy[0] != buddy[1] {
+		t.Fatalf("buddy bytes: shrink-continue %d, migrate %d; want equal and nonzero (only the two-node generation mirrors)",
+			buddy[0], buddy[1])
+	}
+}
+
+// TestTotalLossRungPerPolicy pins each elastic policy's last rung: once the
+// only surviving node dies too, shrink-continue has nothing to shrink onto
+// and fails with mp's no-survivors error, while migrate cold-restarts at
+// the current width and finishes.
+func TestTotalLossRungPerPolicy(t *testing.T) {
+	crashes := []fault.Event{{Node: 1, At: 0.6}, {Node: 0, At: 0.8}}
+	if _, _, err := runElastic(twoNodeSetup(t, PolicyShrink, crashes...)); err == nil ||
+		!strings.Contains(err.Error(), "mp: no survivors") {
+		t.Fatalf("shrink-continue after total loss: err %v, want mp: no survivors", err)
+	}
+	rep, _, err := runElastic(twoNodeSetup(t, PolicyMigrate, crashes...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mg := rep.Migrate; mg == nil || mg.FallbackRestarts != 1 || mg.FallbackShrinks != 1 {
+		t.Fatalf("migrate stats %+v, want one fallback shrink and one cold restart", rep.Migrate)
+	}
+	if rep.FinalRanks != 4 || rep.Final == nil {
+		t.Fatalf("migrate finished on %d ranks, want 4 after the cold restart", rep.FinalRanks)
 	}
 }

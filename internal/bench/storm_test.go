@@ -39,7 +39,7 @@ func TestStormArbiterRecoversFullWidthBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, st, err := runMigrate(s)
+	rep, st, err := runElastic(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,11 +71,10 @@ func TestStormArbiterRecoversFullWidthBitIdentical(t *testing.T) {
 	}
 
 	// Fault-free comparator at the same width, from scratch.
-	m, grid, mem, err := weakSetup(o.App, o.Ranks, o.PerRankN)
+	comp, mem, err := newRankApp(o.App, o.Ranks, o.PerRankN, o.Steps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	comp := newShrinkApp(o.App, m, grid, o.Steps, o.Ranks)
 	tg, err := core.NewTarget(o.Platform, o.Seed)
 	if err != nil {
 		t.Fatal(err)
@@ -207,7 +206,7 @@ func TestRegrowRestoresSubmittedWidth(t *testing.T) {
 		// Warm notice later: migrate, and re-grow the earlier deficit.
 		{Kind: fault.KindPreempt, Node: 2, At: 0.9 * s.cleanS, NoticeAt: 0.7 * s.cleanS},
 	}}
-	rep, _, err := runMigrate(s)
+	rep, _, err := runElastic(s)
 	if err != nil {
 		t.Fatal(err)
 	}

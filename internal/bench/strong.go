@@ -25,20 +25,16 @@ func RunStrong(app, platformName string, globalN int, o Options) (*StrongSeries,
 	if err != nil {
 		return nil, err
 	}
+	w, err := workloadFor(app)
+	if err != nil {
+		return nil, err
+	}
 	s := &StrongSeries{App: app, Platform: platformName, GlobalN: globalN}
 	for _, ranks := range WeakSeries {
 		if ranks > o.MaxRanks {
 			break
 		}
-		var a core.App
-		switch app {
-		case "rd":
-			a, err = core.StrongRD(ranks, globalN, o.Steps)
-		case "ns":
-			a, err = core.StrongNS(ranks, globalN, o.Steps)
-		default:
-			return nil, fmt.Errorf("bench: unknown application %q", app)
-		}
+		a, err := w.strong(ranks, globalN, o.Steps)
 		if err != nil {
 			// Mesh cannot be split that finely; the series ends here.
 			break

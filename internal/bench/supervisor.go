@@ -1,23 +1,16 @@
 package bench
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"strings"
 	"sync"
 
-	"heterohpc/internal/checkpoint"
 	"heterohpc/internal/core"
 	"heterohpc/internal/fault"
-	"heterohpc/internal/mesh"
-	"heterohpc/internal/mp"
-	"heterohpc/internal/nse"
 	"heterohpc/internal/obs"
-	"heterohpc/internal/rd"
 	"heterohpc/internal/spot"
 	"heterohpc/internal/trace"
-	"heterohpc/internal/vclock"
 )
 
 // Recovery policies for RunSupervised.
@@ -322,7 +315,7 @@ func (s *ckptStore) sync() (min, max int) {
 	return min, max
 }
 
-// snapStore is the checkpoint persistence surface supervisedApp writes
+// snapStore is the checkpoint persistence surface rankApp writes
 // through: ckptStore in the recovery loops, anchorStore/replayStore in the
 // journal-diff replay (replay.go), tapStore to layer the two.
 type snapStore interface {
@@ -351,97 +344,6 @@ func tapped(store snapStore, width int, tap func(rank, step, width int, blob []b
 		return store
 	}
 	return &tapStore{inner: store, width: width, tap: tap}
-}
-
-// supervisedApp wires per-rank checkpoint save/restore closures into the
-// weak-scaling applications. Checkpoints flow through the
-// internal/checkpoint containers, exactly as a production restart would.
-type supervisedApp struct {
-	name  string
-	rdCfg rd.Config
-	nsCfg nse.Config
-	owned [][]int
-	store snapStore
-}
-
-func newSupervisedApp(app string, ranks, perRankN, steps int, store snapStore) (*supervisedApp, float64, error) {
-	p, err := mesh.CubeGrid(ranks)
-	if err != nil {
-		return nil, 0, fmt.Errorf("bench: weak scaling needs cubic rank counts: %w", err)
-	}
-	a := &supervisedApp{name: app, store: store}
-	var m *mesh.Mesh
-	var mem float64
-	switch app {
-	case "rd":
-		m = mesh.NewUnitCube(perRankN * p)
-		a.rdCfg = rd.Config{Mesh: m, Grid: [3]int{p, p, p}, Steps: steps}
-		mem = core.MemPerRankGB(perRankN, 1)
-	case "ns":
-		n := perRankN * p
-		m, err = mesh.NewBox(mesh.SymmetricBox, n, n, n)
-		if err != nil {
-			return nil, 0, err
-		}
-		a.nsCfg = nse.Config{Mesh: m, Grid: [3]int{p, p, p}, Steps: steps}
-		mem = core.MemPerRankGB(perRankN, 4)
-	default:
-		return nil, 0, fmt.Errorf("bench: unknown application %q (want rd or ns)", app)
-	}
-	a.owned = make([][]int, ranks)
-	for rank := 0; rank < ranks; rank++ {
-		l, err := mesh.NewLocalFromBlock(m, p, p, p, rank)
-		if err != nil {
-			return nil, 0, err
-		}
-		a.owned[rank] = l.VertGlobal[:l.NumOwned]
-	}
-	return a, mem, nil
-}
-
-// Name implements core.App.
-func (a *supervisedApp) Name() string { return a.name }
-
-// Run implements core.App: restore this rank's state from the store when a
-// compatible checkpoint exists, and save one after every completed step.
-func (a *supervisedApp) Run(r *mp.Rank) ([]vclock.PhaseTimes, map[string]float64, error) {
-	rank, size := r.ID(), r.Size()
-	if a.name == "rd" {
-		cfg := a.rdCfg
-		if b := a.store.get(rank); b != nil {
-			if st, ckRank, ckN, _, err := checkpoint.ReadRD(bytes.NewReader(b)); err == nil &&
-				ckRank == rank && ckN == size && st.StepsDone < cfg.Steps {
-				cfg.Resume = &st
-				r.Obs().Checkpoint("ckpt-restore", st.StepsDone, int64(len(b)))
-			}
-		}
-		cfg.Checkpoint = func(st rd.State) error {
-			var buf bytes.Buffer
-			if err := checkpoint.WriteRD(&buf, st, rank, size, a.owned[rank]); err != nil {
-				return err
-			}
-			a.store.put(rank, st.StepsDone, buf.Bytes())
-			return nil
-		}
-		return core.RDApp{Cfg: cfg}.Run(r)
-	}
-	cfg := a.nsCfg
-	if b := a.store.get(rank); b != nil {
-		if st, ckRank, ckN, _, err := checkpoint.ReadNSE(bytes.NewReader(b)); err == nil &&
-			ckRank == rank && ckN == size && st.StepsDone < cfg.Steps {
-			cfg.Resume = &st
-			r.Obs().Checkpoint("ckpt-restore", st.StepsDone, int64(len(b)))
-		}
-	}
-	cfg.Checkpoint = func(st nse.State) error {
-		var buf bytes.Buffer
-		if err := checkpoint.WriteNSE(&buf, st, rank, size, a.owned[rank]); err != nil {
-			return err
-		}
-		a.store.put(rank, st.StepsDone, buf.Bytes())
-		return nil
-	}
-	return core.NSApp{Cfg: cfg}.Run(r)
 }
 
 // virtualDuration is the job's virtual makespan: the largest per-rank sum
@@ -502,8 +404,7 @@ func newSuperSetup(o FaultOptions) (*superSetup, error) {
 	if err != nil {
 		return nil, err
 	}
-	cleanStore := newCkptStore(o.Ranks)
-	cleanApp, mem, err := newSupervisedApp(o.App, o.Ranks, o.PerRankN, o.Steps, cleanStore)
+	cleanApp, mem, err := newRankApp(o.App, o.Ranks, o.PerRankN, o.Steps)
 	if err != nil {
 		return nil, err
 	}
@@ -587,11 +488,8 @@ func RunSupervised(o FaultOptions) (*RecoveryReport, error) {
 	switch o.Policy {
 	case PolicyRestart:
 		return runRestart(s)
-	case PolicyShrink:
-		rep, _, err := runShrinkContinue(s)
-		return rep, err
-	case PolicyMigrate:
-		rep, _, err := runMigrate(s)
+	case PolicyShrink, PolicyMigrate:
+		rep, _, err := runElastic(s)
 		return rep, err
 	default:
 		return nil, fmt.Errorf("bench: unknown recovery policy %q (want %q, %q or %q)",
@@ -625,9 +523,20 @@ func runRestart(s *superSetup) (*RecoveryReport, error) {
 	spares := o.SpareNodes
 
 	ranks := o.Ranks
-	store := newCkptStore(ranks)
-	app, appMem, err := newSupervisedApp(o.App, ranks, o.PerRankN, o.Steps, tapped(store, ranks, o.ckptTap))
-	if err != nil {
+	var store *ckptStore
+	var app *rankApp
+	var appMem float64
+	// launch builds the job at the current width with a fresh checkpoint
+	// store: checkpoints taken at another width cannot be restored.
+	launch := func() (err error) {
+		store = newCkptStore(ranks)
+		app, appMem, err = newRankApp(o.App, ranks, o.PerRankN, o.Steps)
+		if err == nil {
+			app.store = tapped(store, ranks, o.ckptTap)
+		}
+		return err
+	}
+	if err := launch(); err != nil {
 		return nil, err
 	}
 
@@ -645,9 +554,7 @@ func runRestart(s *superSetup) (*RecoveryReport, error) {
 			to, ranks, why)
 		ranks = to
 		rep.Degraded = true
-		store = newCkptStore(ranks)
-		app, appMem, err = newSupervisedApp(o.App, ranks, o.PerRankN, o.Steps, tapped(store, ranks, o.ckptTap))
-		return err
+		return launch()
 	}
 
 	for attempt := 1; attempt <= maxAttempts; attempt++ {
@@ -805,10 +712,7 @@ func FormatRecovery(rep *RecoveryReport) string {
 	b.WriteString(rec.Format())
 	b.WriteString("\n\n")
 
-	errKey := "max_err"
-	if rep.App == "ns" {
-		errKey = "vel_max_err"
-	}
+	errKey := errKeyOf(rep.App)
 	fmt.Fprintf(&b, "%-24s %14s %14s\n", "", "clean", "recovered")
 	fmt.Fprintf(&b, "%-24s %14d %14d\n", "ranks", rep.Clean.Ranks, rep.Final.Ranks)
 	fmt.Fprintf(&b, "%-24s %14d %14d\n", "attempts", 1, rep.Attempts)
@@ -865,10 +769,7 @@ func FormatRecoveryComparison(c *RecoveryComparison) string {
 	fmt.Fprintf(&b, "Recovery-policy comparison: %s on %s (%d ranks)\n",
 		strings.ToUpper(r.App), r.Platform, r.Ranks)
 	fmt.Fprintf(&b, "%s\n\n", r.Plan)
-	errKey := "max_err"
-	if r.App == "ns" {
-		errKey = "vel_max_err"
-	}
+	errKey := errKeyOf(r.App)
 	row := func(label, fmtStr string, vs ...any) {
 		fmt.Fprintf(&b, "%-26s", label)
 		for _, v := range vs {

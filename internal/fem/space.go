@@ -42,17 +42,6 @@ func NewSpaceBlock(r *mp.Rank, m *mesh.Mesh, px, py, pz, tag int) (*Space, error
 	return newSpace(r, m, l, owner, tag)
 }
 
-// NewSpaceParts builds the space for an arbitrary element partition
-// (part[e] = rank). tag reserves message tags [tag, tag+2).
-func NewSpaceParts(r *mp.Rank, m *mesh.Mesh, part []int, tag int) (*Space, error) {
-	l, err := mesh.NewLocalFromParts(m, part, r.ID())
-	if err != nil {
-		return nil, err
-	}
-	owner := func(g int) int { return mesh.VertexOwnerOnParts(m, part, g) }
-	return newSpace(r, m, l, owner, tag)
-}
-
 func newSpace(r *mp.Rank, m *mesh.Mesh, l *mesh.Local, owner func(int) int, tag int) (*Space, error) {
 	hx, hy, hz := m.H()
 	el, err := NewElement(hx, hy, hz)

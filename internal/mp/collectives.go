@@ -45,6 +45,8 @@ func (op ReduceOp) apply(dst, src []float64) {
 // sequence so equal numbers pair up. The kind is mixed in so that a
 // mismatched program (rank 0 in a Bcast while rank 1 is in a Reduce) fails
 // loudly by deadlocking in tests rather than silently exchanging data.
+// Kinds 6 and 7 belonged to retired collectives; the stride stays 8 so
+// every remaining collective keeps its tag.
 const (
 	collKinds    = 8
 	kindBarrier  = 0
@@ -53,8 +55,6 @@ const (
 	kindGather   = 3
 	kindAGather  = 4
 	kindAlltoall = 5
-	kindScatter  = 6
-	kindScan     = 7
 )
 
 func (r *Rank) collTag(kind int) int {
@@ -291,83 +291,6 @@ func (r *Rank) Allgather(data []float64) [][]float64 {
 		out[(r.id-step+p)%p] = cur
 	}
 	return out
-}
-
-// Scatter distributes root's per-rank blocks: rank i receives send[i]
-// (send is ignored on non-root ranks).
-func (r *Rank) Scatter(root int, send [][]float64) []float64 {
-	p := r.Size()
-	if root < 0 || root >= p {
-		panic(fmt.Sprintf("mp: scatter root %d out of range", root))
-	}
-	tag := r.collTag(kindScatter)
-	if r.id == root {
-		if len(send) != p {
-			panic(fmt.Sprintf("mp: scatter needs %d blocks, got %d", p, len(send)))
-		}
-		for dst := 0; dst < p; dst++ {
-			if dst == root {
-				continue
-			}
-			r.sendF64(dst, tag, send[dst])
-		}
-		own := make([]float64, len(send[root]))
-		copy(own, send[root])
-		return own
-	}
-	return r.RecvF64(root, tag)
-}
-
-// Scan computes the inclusive prefix reduction: rank i receives
-// op(data₀, …, dataᵢ), using a linear chain (deterministic and exact for
-// the rank-ordered partial sums distributed assembly needs).
-func (r *Rank) Scan(op ReduceOp, data []float64) []float64 {
-	p := r.Size()
-	tag := r.collTag(kindScan)
-	acc := make([]float64, len(data))
-	copy(acc, data)
-	if r.id > 0 {
-		prev := r.RecvF64(r.id-1, tag)
-		// acc = op(prefix, own): apply onto the prefix to preserve order.
-		op.apply(prev, acc)
-		acc = prev
-	}
-	if r.id < p-1 {
-		r.sendF64(r.id+1, tag, acc)
-	}
-	return acc
-}
-
-// ReduceScatter reduces send element-wise across ranks and scatters the
-// result: rank i receives the reduced block that rank-local send[i]
-// contributed to. Implemented as Reduce followed by Scatter.
-func (r *Rank) ReduceScatter(op ReduceOp, send [][]float64) []float64 {
-	p := r.Size()
-	if len(send) != p {
-		panic(fmt.Sprintf("mp: reduce-scatter needs %d blocks, got %d", p, len(send)))
-	}
-	// Flatten for the tree reduction.
-	sizes := make([]int, p)
-	total := 0
-	for i, blk := range send {
-		sizes[i] = len(blk)
-		total += len(blk)
-	}
-	flat := make([]float64, 0, total)
-	for _, blk := range send {
-		flat = append(flat, blk...)
-	}
-	reduced := r.Reduce(0, op, flat)
-	var blocks [][]float64
-	if r.id == 0 {
-		blocks = make([][]float64, p)
-		off := 0
-		for i := range blocks {
-			blocks[i] = reduced[off : off+sizes[i]]
-			off += sizes[i]
-		}
-	}
-	return r.Scatter(0, blocks)
 }
 
 // Alltoall delivers send[i] from this rank to rank i and returns the blocks

@@ -749,13 +749,6 @@ func (r *Rank) RecvBytes(src, tag int) []byte {
 	return m.bytes
 }
 
-// SendRecvF64 exchanges float64 slices with a peer (both sides must call
-// it). Sends are buffered, so the exchange cannot deadlock.
-func (r *Rank) SendRecvF64(peer, tag int, send []float64) []float64 {
-	r.SendF64(peer, tag, send)
-	return r.RecvF64(peer, tag)
-}
-
 // RecvAnyInts blocks for an int message with the given tag from any source
 // and returns the source rank and payload.
 func (r *Rank) RecvAnyInts(tag int) (src int, data []int) {
@@ -764,14 +757,4 @@ func (r *Rank) RecvAnyInts(tag int) (src int, data []int) {
 	r.noteRecv(&m)
 	r.checkFault()
 	return m.src, m.ints
-}
-
-// RecvAnyF64 blocks for a float64 message with the given tag from any source
-// and returns the source rank and payload.
-func (r *Rank) RecvAnyF64(tag int) (src int, data []float64) {
-	r.checkFault()
-	m := r.world.boxes[r.id].takeAny(tag)
-	r.noteRecv(&m)
-	r.checkFault()
-	return m.src, m.f64
 }

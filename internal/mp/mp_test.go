@@ -170,21 +170,6 @@ func TestSendRecvInts(t *testing.T) {
 	}
 }
 
-func TestSendRecvExchange(t *testing.T) {
-	w := testWorld(t, 2, 2)
-	err := w.Run(func(r *Rank) error {
-		peer := 1 - r.ID()
-		got := r.SendRecvF64(peer, 9, []float64{float64(r.ID())})
-		if got[0] != float64(peer) {
-			return fmt.Errorf("exchange got %v", got)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestVirtualTimeAdvancesOnComm(t *testing.T) {
 	topo, _ := BlockTopology(2, 1) // two nodes, inter-node traffic
 	fab, _ := netmodel.NewFabric(netmodel.GigE, 2)
@@ -512,111 +497,6 @@ func max(a, b int) int {
 	return b
 }
 
-func TestScatter(t *testing.T) {
-	for _, p := range []int{1, 2, 5, 8} {
-		w := testWorld(t, p, 4)
-		err := w.Run(func(r *Rank) error {
-			var send [][]float64
-			if r.ID() == 0 {
-				send = make([][]float64, p)
-				for i := range send {
-					send[i] = []float64{float64(i * 7)}
-				}
-			}
-			got := r.Scatter(0, send)
-			if len(got) != 1 || got[0] != float64(r.ID()*7) {
-				return fmt.Errorf("rank %d got %v", r.ID(), got)
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("p=%d: %v", p, err)
-		}
-	}
-}
-
-func TestScatterCopiesRootBlock(t *testing.T) {
-	w := testWorld(t, 1, 1)
-	err := w.Run(func(r *Rank) error {
-		send := [][]float64{{42}}
-		got := r.Scatter(0, send)
-		send[0][0] = 0
-		if got[0] != 42 {
-			return fmt.Errorf("scatter aliased root block")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestScanInclusivePrefix(t *testing.T) {
-	for _, p := range []int{1, 2, 6} {
-		w := testWorld(t, p, 4)
-		err := w.Run(func(r *Rank) error {
-			got := r.Scan(OpSum, []float64{float64(r.ID() + 1)})
-			want := float64((r.ID() + 1) * (r.ID() + 2) / 2)
-			if got[0] != want {
-				return fmt.Errorf("rank %d scan = %v, want %v", r.ID(), got[0], want)
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("p=%d: %v", p, err)
-		}
-	}
-}
-
-func TestScanMax(t *testing.T) {
-	const p = 5
-	w := testWorld(t, p, 4)
-	err := w.Run(func(r *Rank) error {
-		// Values 3,1,4,1,5 -> running max 3,3,4,4,5.
-		vals := []float64{3, 1, 4, 1, 5}
-		wantMax := []float64{3, 3, 4, 4, 5}
-		got := r.Scan(OpMax, []float64{vals[r.ID()]})
-		if got[0] != wantMax[r.ID()] {
-			return fmt.Errorf("rank %d max-scan = %v, want %v", r.ID(), got[0], wantMax[r.ID()])
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestReduceScatter(t *testing.T) {
-	const p = 4
-	w := testWorld(t, p, 2)
-	err := w.Run(func(r *Rank) error {
-		// Every rank contributes 1 to every block; rank i's block has i+1
-		// elements.
-		send := make([][]float64, p)
-		for i := range send {
-			send[i] = make([]float64, i+1)
-			for j := range send[i] {
-				send[i][j] = 1
-			}
-		}
-		got := r.ReduceScatter(OpSum, send)
-		if len(got) != r.ID()+1 {
-			return fmt.Errorf("rank %d got %d elements, want %d", r.ID(), len(got), r.ID()+1)
-		}
-		for _, v := range got {
-			if v != p {
-				return fmt.Errorf("rank %d got %v, want %d", r.ID(), got, p)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Cross-validation: the virtual time charged for a point-to-point send must
-// equal the fabric's analytic prediction exactly (model and runtime agree).
 func TestSendChargeMatchesFabricModel(t *testing.T) {
 	topo, _ := BlockTopology(4, 2) // 2 nodes
 	fab, _ := netmodel.NewFabric(netmodel.IBDDR4X, 2)
