@@ -384,6 +384,75 @@ func TestILU0ExactOnTridiagonal(t *testing.T) {
 	}
 }
 
+// ilu0SlotReference is the ILU(0) elimination with a binary-search Slot
+// lookup per update, the formulation the merge walk in Setup replaced.
+// It returns the factor values and the counted flops.
+func ilu0SlotReference(a *sparse.CSR, n int) ([]float64, float64) {
+	lu := append([]float64(nil), a.Val...)
+	var flops float64
+	for i := 0; i < n; i++ {
+		for sl := a.RowPtr[i]; sl < a.RowPtr[i+1]; sl++ {
+			k := a.Col[sl]
+			if k >= i || k >= n {
+				continue
+			}
+			lik := lu[sl] / lu[a.Slot(k, k)]
+			lu[sl] = lik
+			for t := sl + 1; t < a.RowPtr[i+1]; t++ {
+				j := a.Col[t]
+				if j >= n {
+					continue
+				}
+				if u := a.Slot(k, j); u >= 0 {
+					lu[t] -= lik * lu[u]
+					flops += 2
+				}
+			}
+		}
+	}
+	return lu, flops
+}
+
+type flopRecorder struct{ flops float64 }
+
+func (f *flopRecorder) ChargeCompute(flops, bytes float64) { f.flops += flops }
+
+// TestILU0MatchesSlotReference checks that ILU0 factors and flop charges
+// are bit-identical to the Slot-based elimination on random diagonally
+// dominant patterns whose column space has a ghost tail beyond the block.
+func TestILU0MatchesSlotReference(t *testing.T) {
+	rng := stats.NewRNG(29)
+	for trial := 0; trial < 60; trial++ {
+		n := rng.Intn(30) + 1
+		ncols := n + rng.Intn(10)
+		var c sparse.COO
+		for i := 0; i < n; i++ {
+			c.Add(i, i, 4+rng.Range(0, 1))
+			for k := rng.Intn(8); k > 0; k-- {
+				c.Add(i, rng.Intn(ncols), rng.Range(-0.5, 0.5))
+			}
+		}
+		a, err := sparse.NewCSRFromCOO(n, ncols, &c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := &flopRecorder{}
+		p := NewILU0(a, n, rec)
+		if err := p.Setup(); err != nil {
+			t.Fatal(err)
+		}
+		lu, flops := ilu0SlotReference(a, n)
+		for s := range lu {
+			if math.Float64bits(p.lu[s]) != math.Float64bits(lu[s]) {
+				t.Fatalf("trial %d slot %d: factor %v, reference %v", trial, s, p.lu[s], lu[s])
+			}
+		}
+		if want := flops + float64(a.NNZ()); rec.flops != want {
+			t.Fatalf("trial %d: charged %v flops, reference %v", trial, rec.flops, want)
+		}
+	}
+}
+
 // Property: CG solves random SPD systems A = Lᵀ·L + I to the requested
 // tolerance.
 func TestCGRandomSPDProperty(t *testing.T) {

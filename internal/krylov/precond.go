@@ -160,12 +160,19 @@ func (p *ILU0) Setup() error {
 			lik := p.lu[sl] / piv
 			p.lu[sl] = lik
 			// Update the remainder of row i against row k's upper part.
-			for t := sl + 1; t < a.RowPtr[i+1]; t++ {
+			// Both rows have sorted columns, so one merge walk finds every
+			// shared column. Block columns come first: the walk ends at row
+			// i's first column >= n, and row k's never match.
+			u, uEnd := p.diag[k]+1, a.RowPtr[k+1]
+			for t := sl + 1; t < a.RowPtr[i+1] && u < uEnd; t++ {
 				j := a.Col[t]
 				if j >= p.n {
-					continue
+					break
 				}
-				if u := a.Slot(k, j); u >= 0 {
+				for u < uEnd && a.Col[u] < j {
+					u++
+				}
+				if u < uEnd && a.Col[u] == j {
 					p.lu[t] -= lik * p.lu[u]
 					flops += 2
 				}

@@ -11,7 +11,8 @@
 //
 //   - A rank on the failed node dies at the first communication call where
 //     its own virtual clock has reached the scheduled kill time — a fixed
-//     point in its deterministic program.
+//     point in its deterministic program. Any-source receives are not
+//     such calls, since their arrival order is a wall-clock race.
 //   - Every other rank keeps running on the messages its peers
 //     deterministically sent before dying, and dies exactly at its first
 //     receive that can never be satisfied (the sender terminally exited
@@ -129,11 +130,23 @@ func (w *World) trip(node int, at float64) {
 
 // markDead records that rank id has terminally exited and wakes every
 // blocked mailbox wait so receivers parked on its messages re-check.
-// Taking each mailbox lock pairs with the dead-check waiters perform under
-// the same lock, so a waiter either sees the flag before sleeping or
-// receives this wakeup.
 func (w *World) markDead(id int) {
 	w.rankDead[id].Store(true)
+	mb := w.boxes[id]
+	mb.mu.Lock()
+	if mb.owner == ownerRunning {
+		w.idle.Add(1)
+	}
+	mb.owner = ownerExited
+	mb.mu.Unlock()
+	w.wakeAll()
+}
+
+// wakeAll wakes every mailbox's owner to re-check its wait condition.
+// Taking each mailbox lock pairs with the checks waiters perform under the
+// same lock, so a waiter either sees the new state before sleeping or
+// receives this wakeup.
+func (w *World) wakeAll() {
 	for _, mb := range w.boxes {
 		mb.mu.Lock()
 		mb.cond.Broadcast()
@@ -141,10 +154,11 @@ func (w *World) markDead(id int) {
 	}
 }
 
-// checkFault is called on every send and receive path: it fires this
-// rank's own node crash when the rank's virtual clock has reached it.
-// Deaths of other ranks are observed only through unsatisfiable receives
-// (mailbox.take), never through a global flag, so each rank's progress at
+// checkFault is called on every send and directed or collective receive
+// path: it fires this rank's own node crash when the rank's virtual clock
+// has reached it. Deaths of other ranks are observed only through
+// unsatisfiable receives (mailbox.take, and mailbox.takeAny once the world
+// is quiescent), never through a global flag, so each rank's progress at
 // death is deterministic rather than a wall-clock race.
 func (r *Rank) checkFault() {
 	w := r.world

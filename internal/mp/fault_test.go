@@ -172,3 +172,100 @@ func TestDegradeSlowsCommunication(t *testing.T) {
 		t.Fatalf("degraded run %v not slower than clean %v", slow, base)
 	}
 }
+
+// TestAnySourceReceiveOutlivesPoison pins the any-source death rule: a
+// poisoned world does not cut short a RecvAnyInts whose sender is alive,
+// however late (in wall time) that sender runs. Rank 1 sends only after
+// node 2's crash has poisoned the world; rank 0 must still receive it, and
+// then unwind at its next any-source receive, which only the dead rank
+// could have satisfied.
+func TestAnySourceReceiveOutlivesPoison(t *testing.T) {
+	w := faultWorld(t, 3, 1)
+	if err := w.ScheduleNodeCrash(2, 0); err != nil {
+		t.Fatal(err)
+	}
+	got := -1
+	err := runWithDeadline(t, w, 30*time.Second, func(r *Rank) error {
+		switch r.ID() {
+		case 0:
+			src, _ := r.RecvAnyInts(7)
+			got = src
+			r.RecvAnyInts(7)
+			return errors.New("second any-source receive was satisfied")
+		case 1:
+			for {
+				if _, down := w.Failure(); down {
+					break
+				}
+				time.Sleep(time.Millisecond)
+			}
+			r.SendInts(0, 7, []int{1})
+		case 2:
+			r.SendInts(0, 7, []int{2}) // trips the crash before sending
+		}
+		return nil
+	})
+	if !errors.Is(err, ErrRankDead) {
+		t.Fatalf("run error %v, want ErrRankDead", err)
+	}
+	if got != 1 {
+		t.Fatalf("rank 0 received from %d before dying, want the live rank 1", got)
+	}
+}
+
+// TestAnySourceReceiveUnwindsWhenNoSenderRemains checks that without any
+// fault a RecvAnyInts nobody can satisfy — its only peer returned early —
+// ends the run with ErrRankDead instead of hanging.
+func TestAnySourceReceiveUnwindsWhenNoSenderRemains(t *testing.T) {
+	w := faultWorld(t, 2, 1)
+	err := runWithDeadline(t, w, 30*time.Second, func(r *Rank) error {
+		if r.ID() == 0 {
+			r.RecvAnyInts(7)
+		}
+		return nil
+	})
+	if !errors.Is(err, ErrRankDead) {
+		t.Fatalf("run error %v, want ErrRankDead", err)
+	}
+}
+
+// TestAnySourceReceiveIsNotAFaultPoint checks that a doomed rank's death
+// does not depend on the wall-clock order of its any-source arrivals.
+// Rank 0's crash time falls between the virtual arrivals of rank 1's
+// message (early) and rank 2's (late), and rank 2's is made to arrive
+// first in wall time. Rank 0 must still take both before dying at its
+// next send.
+func TestAnySourceReceiveIsNotAFaultPoint(t *testing.T) {
+	w := faultWorld(t, 3, 1)
+	if err := w.ScheduleNodeCrash(0, 0.5); err != nil {
+		t.Fatal(err)
+	}
+	late := make(chan struct{})
+	received := 0
+	err := runWithDeadline(t, w, 30*time.Second, func(r *Rank) error {
+		switch r.ID() {
+		case 0:
+			for i := 0; i < 2; i++ {
+				r.RecvAnyInts(7)
+				received++
+			}
+			r.SendInts(1, 8, []int{0})
+			return errors.New("send after the crash time succeeded")
+		case 1:
+			<-late
+			r.SendInts(0, 7, []int{1})
+			r.RecvInts(0, 8)
+		case 2:
+			r.ChargeCompute(1e9, 0) // one virtual second
+			r.SendInts(0, 7, []int{2})
+			close(late)
+		}
+		return nil
+	})
+	if !errors.Is(err, ErrRankDead) {
+		t.Fatalf("run error %v, want ErrRankDead", err)
+	}
+	if received != 2 {
+		t.Fatalf("rank 0 took %d any-source messages before dying, want 2", received)
+	}
+}

@@ -139,6 +139,7 @@ func (w *World) Grow(ranksPerNewNode, groupOfNewNode []int, startAt float64) (*G
 		mb := w.boxes[i]
 		mb.mu.Lock()
 		mb.w = nw
+		mb.owner = ownerRunning
 		if mb.coll != nil {
 			mb.coll = append(mb.coll, make([]msgQueue, added)...)
 			for src := range mb.coll {

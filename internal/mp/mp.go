@@ -203,7 +203,19 @@ type mailbox struct {
 	// terminally exited without sending it) unwinds instead of deadlocking
 	// (see fault.go).
 	w *World
+	// owner is what the owning rank is doing, as counted in w.idle.
+	owner ownerState
 }
+
+// ownerState tracks whether a mailbox's owning rank can still send: it is
+// running, parked in a receive with nothing to take, or terminally exited.
+type ownerState uint8
+
+const (
+	ownerRunning ownerState = iota
+	ownerParked
+	ownerExited
+)
 
 func newMailbox(w *World) *mailbox {
 	mb := &mailbox{
@@ -245,25 +257,43 @@ func (mb *mailbox) put(m message) {
 			mb.coll = make([]msgQueue, len(mb.w.boxes))
 		}
 		mb.coll[m.src].push(m)
-		mb.mu.Unlock()
-		mb.cond.Signal()
-		return
-	}
-	if q, ok := mb.anyQ[m.tag]; ok {
+	} else if q, ok := mb.anyQ[m.tag]; ok {
 		q.push(m)
-		mb.mu.Unlock()
-		mb.cond.Signal()
-		return
+	} else {
+		k := msgKey{m.src, m.tag}
+		q := mb.pending[k]
+		if q == nil {
+			q = mb.getQueue()
+			mb.pending[k] = q
+		}
+		q.push(m)
 	}
-	k := msgKey{m.src, m.tag}
-	q := mb.pending[k]
-	if q == nil {
-		q = mb.getQueue()
-		mb.pending[k] = q
+	// The owner may be able to progress now, so it stops counting as idle
+	// before anyone else can observe the world as quiescent.
+	if mb.owner == ownerParked {
+		mb.owner = ownerRunning
+		mb.w.idle.Add(-1)
 	}
-	q.push(m)
 	mb.mu.Unlock()
 	mb.cond.Signal()
+}
+
+// park blocks the owner until its mailbox may have changed. A parked owner
+// counts as idle until a put wakes it. When the last running rank parks, no
+// message can ever be sent again; the world is quiescent, and every mailbox
+// is woken so waiters can observe that. Runs under mb.mu and returns with
+// it held, possibly without sleeping; callers re-check their condition.
+func (mb *mailbox) park() {
+	if mb.owner == ownerRunning {
+		mb.owner = ownerParked
+		if w := mb.w; w.idle.Add(1) == int64(len(w.boxes)) {
+			mb.mu.Unlock()
+			w.wakeAll()
+			mb.mu.Lock()
+			return
+		}
+	}
+	mb.cond.Wait()
 }
 
 // registerAny routes tag to a dedicated arrival FIFO, migrating messages
@@ -303,9 +333,11 @@ func (mb *mailbox) registerAny(tag int) *msgQueue {
 // source and removes the oldest arrival. Used only for sparse
 // communication-plan setup, where receivers know how many peers will
 // contact them but not which. Because the sender set is unknown, starvation
-// cannot be pinned on one rank; a takeAny therefore unwinds as soon as the
-// world is poisoned. This is coarser than take's per-sender rule, but setup
-// runs at virtual t≈0, before any plausible fault time.
+// cannot be pinned on one rank, so a takeAny unwinds only once the world
+// is quiescent: every rank is parked with nothing to take or has exited,
+// and no message can ever arrive. As with take, queued messages win over
+// death, so how far a rank gets before dying depends on the program and
+// the fault schedule alone, never on how fast its peers ran.
 func (mb *mailbox) takeAny(tag int) message {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
@@ -314,13 +346,13 @@ func (mb *mailbox) takeAny(tag int) message {
 		q = mb.registerAny(tag)
 	}
 	for {
-		if mb.w.down.Load() {
-			panic(killedPanic{})
-		}
 		if !q.empty() {
 			return q.pop()
 		}
-		mb.cond.Wait()
+		if mb.w.idle.Load() == int64(len(mb.w.boxes)) {
+			panic(killedPanic{})
+		}
+		mb.park()
 	}
 }
 
@@ -347,7 +379,7 @@ func (mb *mailbox) take(src, tag int) message {
 			if mb.w.rankDead[src].Load() {
 				panic(killedPanic{})
 			}
-			mb.cond.Wait()
+			mb.park()
 		}
 	}
 	k := msgKey{src, tag}
@@ -363,7 +395,7 @@ func (mb *mailbox) take(src, tag int) message {
 		if _, bad := mb.anyQ[tag]; bad {
 			panic(fmt.Sprintf("mp: directed receive on any-source tag %d", tag))
 		}
-		mb.cond.Wait()
+		mb.park()
 	}
 }
 
@@ -399,6 +431,9 @@ type World struct {
 	failMu   sync.Mutex
 	failure  Failure
 	rankDead []atomic.Bool
+	// idle counts the ranks whose mailbox owner is parked or exited (see
+	// mailbox.park); it equals Size only when no rank can send again.
+	idle atomic.Int64
 }
 
 // NewWorld builds a world for the given topology over the given fabric.
@@ -750,11 +785,12 @@ func (r *Rank) RecvBytes(src, tag int) []byte {
 }
 
 // RecvAnyInts blocks for an int message with the given tag from any source
-// and returns the source rank and payload.
+// and returns the source rank and payload. It is not a fault point: the
+// clock between successive any-source receives depends on arrival order,
+// so a scheduled crash fires at the rank's next send or directed receive,
+// whose clock covers every arrival received.
 func (r *Rank) RecvAnyInts(tag int) (src int, data []int) {
-	r.checkFault()
 	m := r.world.boxes[r.id].takeAny(tag)
 	r.noteRecv(&m)
-	r.checkFault()
 	return m.src, m.ints
 }

@@ -23,6 +23,8 @@ func Cases() []Case {
 		{Name: "ns-iteration", Bench: benchNSIteration},
 		{Name: "cg-steady-serial", Bench: benchCGSteadySerial},
 		{Name: "gmres-arnoldi", Bench: benchGMRESArnoldi},
+		{Name: "sparse-pattern", Bench: benchSparsePattern},
+		{Name: "ilu0-setup", Bench: benchILU0Setup},
 	}
 }
 
@@ -123,6 +125,68 @@ func benchGMRESArnoldi(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// benchSparsePattern measures the symbolic CSR build alone: NewCSRFromCOO
+// on the element-by-element triplets of a Q1 hexahedral mesh, where every
+// interior vertex pair appears once per shared element.
+func benchSparsePattern(b *testing.B) {
+	c := q1Triplets(16)
+	n := 17 * 17 * 17
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sparse.NewCSRFromCOO(n, n, c); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// benchILU0Setup measures the ILU(0) factorisation of the 27-point Q1
+// operator, the preconditioner setup the RD and NS solvers run every step.
+func benchILU0Setup(b *testing.B) {
+	c := q1Triplets(16)
+	n := 17 * 17 * 17
+	a, err := sparse.NewCSRFromCOO(n, n, c)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pc := krylov.NewILU0(a, n, nil)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := pc.Setup(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// q1Triplets assembles a diagonally dominant operator element by element
+// on an ne³ hexahedral grid of (ne+1)³ vertices: 64 triplets per element,
+// 8 on the diagonal.
+func q1Triplets(ne int) *sparse.COO {
+	nv := ne + 1
+	id := func(i, j, k int) int { return (k*nv+j)*nv + i }
+	var c sparse.COO
+	c.Grow(64 * ne * ne * ne)
+	var vs [8]int
+	for k := 0; k < ne; k++ {
+		for j := 0; j < ne; j++ {
+			for i := 0; i < ne; i++ {
+				for v := range vs { // bits 0, 1, 2 of v step x, y, z
+					vs[v] = id(i+v&1, j+v>>1&1, k+v>>2)
+				}
+				for _, r := range vs {
+					for _, cl := range vs {
+						if r == cl {
+							c.Add(r, cl, 8)
+						} else {
+							c.Add(r, cl, -1)
+						}
+					}
+				}
+			}
+		}
+	}
+	return &c
 }
 
 // lap3d builds the 7-point Laplacian on an nx³ grid (SPD).

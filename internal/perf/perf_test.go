@@ -117,7 +117,8 @@ func TestReportRoundTrip(t *testing.T) {
 // TestCasesRegistered pins the tracked case set: BENCH.json diffs pair
 // results by name, so removals or renames must be deliberate.
 func TestCasesRegistered(t *testing.T) {
-	want := []string{"rd-iteration", "ns-iteration", "cg-steady-serial", "gmres-arnoldi"}
+	want := []string{"rd-iteration", "ns-iteration", "cg-steady-serial", "gmres-arnoldi",
+		"sparse-pattern", "ilu0-setup"}
 	cs := Cases()
 	if len(cs) != len(want) {
 		t.Fatalf("%d tracked cases, want %d", len(cs), len(want))

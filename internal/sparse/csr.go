@@ -12,7 +12,7 @@ package sparse
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Charger receives operation counts from compute kernels. *mp.Rank
@@ -80,14 +80,12 @@ type CSR struct {
 	Val          []float64
 }
 
-// NewCSRFromCOO builds a CSR from triplets, summing duplicates. Column
-// indices within each row come out sorted. Symbolic construction runs once
-// per space setup, so vcharge's constructor exemption applies; per-step
-// numeric refills go through charged paths (fem.AssembleMatrix, MulVec).
+// NewCSRFromCOO builds a CSR from triplets. Column indices within each row
+// come out sorted and unique; duplicate (row, col) triplets are summed in
+// triplet order. Symbolic construction runs once per space setup, so
+// vcharge's constructor exemption applies; per-step numeric refills go
+// through charged paths (fem.AssembleMatrix, MulVec).
 func NewCSRFromCOO(nrows, ncols int, c *COO) (*CSR, error) {
-	if nrows > 1<<31 || ncols > 1<<31 {
-		return nil, fmt.Errorf("sparse: %dx%d exceeds the 2^31 packed-key index range", nrows, ncols)
-	}
 	for i := range c.Rows {
 		if c.Rows[i] < 0 || c.Rows[i] >= nrows {
 			return nil, fmt.Errorf("sparse: row %d out of %d", c.Rows[i], nrows)
@@ -96,44 +94,76 @@ func NewCSRFromCOO(nrows, ncols int, c *COO) (*CSR, error) {
 			return nil, fmt.Errorf("sparse: col %d out of %d", c.Cols[i], ncols)
 		}
 	}
-	// Sort triplet indices by (row, col). The comparator reads one packed
-	// uint64 key per triplet instead of chasing two slices — the packing
-	// preserves (row, col) lexicographic order bit-exactly, so the sort
-	// reaches the identical permutation (and therefore the identical
-	// duplicate-summation order below) as the two-field comparison, just
-	// with a far cheaper inner loop.
-	keys := make([]uint64, c.Len())
-	for i := range keys {
-		keys[i] = uint64(c.Rows[i])<<32 | uint64(c.Cols[i])
-	}
-	idx := make([]int, c.Len())
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return keys[idx[a]] < keys[idx[b]] })
-	m := &CSR{NRows: nrows, NCols: ncols, RowPtr: make([]int, nrows+1)}
-	m.Col = make([]int, 0, c.Len())
-	m.Val = make([]float64, 0, c.Len())
-	prevKey := ^uint64(0)
-	for _, i := range idx {
-		r, cl, v := c.Rows[i], c.Cols[i], c.Vals[i]
-		if k := keys[i]; k == prevKey {
-			m.Val[len(m.Val)-1] += v
-			continue
-		} else {
-			prevKey = k
-		}
-		m.Col = append(m.Col, cl)
-		m.Val = append(m.Val, v)
-		m.RowPtr[r+1] = len(m.Col)
-	}
-	// Fill empty-row gaps.
-	for r := 1; r <= nrows; r++ {
-		if m.RowPtr[r] < m.RowPtr[r-1] {
-			m.RowPtr[r] = m.RowPtr[r-1]
-		}
+	m, slot := buildPattern(nrows, ncols, c.Rows, c.Cols)
+	for i, v := range c.Vals {
+		m.Val[slot[i]] += v
 	}
 	return m, nil
+}
+
+// buildPattern is the symbolic half of every CSR construction: it returns
+// the matrix over the unique (row, col) pairs of the triplet coordinates,
+// with sorted columns and zero values, and slot[i], the value index of
+// triplet i. A counting sort groups the triplets by row; a column-marker
+// array then dedups each row, and only the row's few unique columns are
+// sorted. Apart from those short sorts, time and memory are linear in
+// nrows, ncols and the triplet count. Indices must already be in range.
+func buildPattern(nrows, ncols int, rows, cols []int) (m *CSR, slot []int) {
+	// rowPtr[r] counts row r-1's triplets, then holds prefix sums.
+	rowPtr := make([]int, nrows+1)
+	for _, r := range rows {
+		rowPtr[r+1]++
+	}
+	widest := 0
+	for r := 1; r <= nrows; r++ {
+		widest = max(widest, rowPtr[r])
+		rowPtr[r] += rowPtr[r-1]
+	}
+	// order lists the triplet indices grouped by row, each row in triplet
+	// order. Placing them advances rowPtr[r] to the end of row r.
+	order := make([]int, len(rows))
+	for i, r := range rows {
+		order[rowPtr[r]] = i
+		rowPtr[r]++
+	}
+	// at[c] is column c's value index in the row that last held it. Those
+	// indices only grow, so at[c] >= base marks c as already seen in the
+	// current row, with no clearing between rows.
+	at := make([]int, ncols)
+	for c := range at {
+		at[c] = -1
+	}
+	slot = make([]int, len(rows))
+	uniq := make([]int, 0, min(widest, ncols))
+	nnz, start := 0, 0
+	for r := 0; r < nrows; r++ {
+		end := rowPtr[r]
+		rowPtr[r] = nnz
+		base := nnz
+		uniq = uniq[:0]
+		for _, i := range order[start:end] {
+			if c := cols[i]; at[c] < base {
+				at[c] = base
+				uniq = append(uniq, c)
+			}
+		}
+		slices.Sort(uniq)
+		for k, c := range uniq {
+			at[c] = base + k
+		}
+		for _, i := range order[start:end] {
+			slot[i] = at[cols[i]]
+		}
+		// Rows up to this one are consumed, so the compacted columns can
+		// reuse order's prefix: base+len(uniq) never passes end.
+		nnz += copy(order[base:], uniq)
+		start = end
+	}
+	rowPtr[nrows] = nnz
+	m = &CSR{NRows: nrows, NCols: ncols, RowPtr: rowPtr,
+		Col: make([]int, nnz), Val: make([]float64, nnz)}
+	copy(m.Col, order)
+	return m, slot
 }
 
 // NNZ returns the stored entry count.

@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -225,6 +226,121 @@ func TestCSRInvariantsProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// sortedPattern is the reference symbolic build: sort the triplet indices
+// by (row, col) with sort.Slice and keep the first of each run of equal
+// pairs. It is the construction NewCSRFromCOO used before the counting
+// build, kept as the oracle the counting build must reproduce.
+func sortedPattern(nrows int, c *COO) (rowPtr, col []int) {
+	idx := make([]int, c.Len())
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.Slice(idx, func(a, b int) bool {
+		ia, ib := idx[a], idx[b]
+		if c.Rows[ia] != c.Rows[ib] {
+			return c.Rows[ia] < c.Rows[ib]
+		}
+		return c.Cols[ia] < c.Cols[ib]
+	})
+	rowPtr = make([]int, nrows+1)
+	prevR, prevC := -1, -1
+	for _, i := range idx {
+		r, cl := c.Rows[i], c.Cols[i]
+		if r == prevR && cl == prevC {
+			continue
+		}
+		prevR, prevC = r, cl
+		col = append(col, cl)
+		rowPtr[r+1] = len(col)
+	}
+	for r := 1; r <= nrows; r++ {
+		if rowPtr[r] < rowPtr[r-1] {
+			rowPtr[r] = rowPtr[r-1]
+		}
+	}
+	return rowPtr, col
+}
+
+// checkPattern compares the counting build of c against the sorted oracle
+// and checks that every triplet's slot holds its own (row, col) and that
+// values are summed in triplet order.
+func checkPattern(t *testing.T, nrows, ncols int, c *COO) {
+	t.Helper()
+	m, err := NewCSRFromCOO(nrows, ncols, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantPtr, wantCol := sortedPattern(nrows, c)
+	if !intsEqual(m.RowPtr, wantPtr) || !intsEqual(m.Col, wantCol) {
+		t.Fatalf("%dx%d pattern of %d triplets: got RowPtr %v Col %v, want %v %v",
+			nrows, ncols, c.Len(), m.RowPtr, m.Col, wantPtr, wantCol)
+	}
+	if len(m.Col) != cap(m.Col) || len(m.Val) != len(m.Col) || len(m.Val) != cap(m.Val) {
+		t.Fatalf("Col/Val not sized to nnz: len %d/%d cap %d/%d",
+			len(m.Col), len(m.Val), cap(m.Col), cap(m.Val))
+	}
+	_, slot := buildPattern(nrows, ncols, c.Rows, c.Cols)
+	want := make([]float64, m.NNZ())
+	for i := range c.Rows {
+		s := slot[i]
+		if s < m.RowPtr[c.Rows[i]] || s >= m.RowPtr[c.Rows[i]+1] || m.Col[s] != c.Cols[i] {
+			t.Fatalf("triplet %d (%d,%d) has slot %d", i, c.Rows[i], c.Cols[i], s)
+		}
+		if s != m.Slot(c.Rows[i], c.Cols[i]) {
+			t.Fatalf("triplet %d slot %d, Slot says %d", i, s, m.Slot(c.Rows[i], c.Cols[i]))
+		}
+		want[s] += c.Vals[i]
+	}
+	for s := range want {
+		if math.Float64bits(m.Val[s]) != math.Float64bits(want[s]) {
+			t.Fatalf("value %d = %v, want triplet-order sum %v", s, m.Val[s], want[s])
+		}
+	}
+}
+
+// TestCSRPatternMatchesSortedOracle drives seeded random COOs with heavy
+// duplication, empty rows and wide column spaces through the counting
+// build and the sorted oracle.
+func TestCSRPatternMatchesSortedOracle(t *testing.T) {
+	rng := stats.NewRNG(41)
+	for trial := 0; trial < 300; trial++ {
+		nr := rng.Intn(12) + 1
+		nc := rng.Intn(12) + 1
+		if trial%3 == 0 {
+			nc += nr + rng.Intn(40) // ncols > nrows, like owned + ghost columns
+		}
+		var c COO
+		for k := rng.Intn(4 * nr * 3); k > 0; k-- {
+			r := rng.Intn(nr)
+			if r%3 == 1 {
+				continue // keep some rows empty
+			}
+			c.Add(r, rng.Intn(nc), rng.Range(-2, 2))
+			if rng.Intn(3) == 0 && c.Len() > 1 {
+				j := rng.Intn(c.Len() - 1)
+				c.Add(c.Rows[j], c.Cols[j], rng.Range(-2, 2)) // duplicate
+			}
+		}
+		checkPattern(t, nr, nc, &c)
+	}
+}
+
+// FuzzCSRFromCOO decodes the input bytes into a triplet list and checks
+// the counting build against the sorted oracle.
+func FuzzCSRFromCOO(f *testing.F) {
+	f.Add(uint8(3), uint8(4), []byte{0, 1, 2, 0, 1, 2, 0, 0, 2, 3})
+	f.Add(uint8(1), uint8(1), []byte{})
+	f.Add(uint8(5), uint8(40), []byte{4, 39, 4, 0, 4, 39, 0, 20, 0, 20})
+	f.Fuzz(func(t *testing.T, nr, nc uint8, data []byte) {
+		nrows, ncols := int(nr)%32+1, int(nc)%64+1
+		var c COO
+		for k := 0; k+1 < len(data); k += 2 {
+			c.Add(int(data[k])%nrows, int(data[k+1])%ncols, float64(k%7)-3.5)
+		}
+		checkPattern(t, nrows, ncols, &c)
+	})
 }
 
 func TestVecOps(t *testing.T) {

@@ -195,6 +195,86 @@ func TestDistMatrixMatchesSerialAssembly(t *testing.T) {
 	}
 }
 
+// TestDistMatrixRefillSlotsMatchPattern checks the refill plans on a
+// multi-rank assembly: localSlots[i] and importSlots[p][j] must be exactly
+// the CSR slot of their triplet's (row, col), which the sender's export
+// groups determine for imported streams.
+func TestDistMatrixRefillSlotsMatchPattern(t *testing.T) {
+	m := mesh.NewUnitCube(3)
+	const nranks = 4
+	part, err := partition.RCB(m, nranks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner := func(g int) int { return mesh.VertexOwnerOnParts(m, part, g) }
+	dms := make([]*DistMatrix, nranks)
+	coos := make([]*COO, nranks)
+	runWorld(t, nranks, func(r *mp.Rank) error {
+		l, err := mesh.NewLocalFromParts(m, part, r.ID())
+		if err != nil {
+			return err
+		}
+		coo := &COO{}
+		for _, e := range l.Elems {
+			vs := m.ElemVerts(e)
+			for a := 0; a < 8; a++ {
+				for b := 0; b < 8; b++ {
+					coo.Add(vs[a], vs[b], elemValue(e, a, b))
+				}
+			}
+		}
+		dm, err := NewDistMatrix(r, NewRowMap(l.VertGlobal[:l.NumOwned]), coo, owner, 500)
+		dms[r.ID()], coos[r.ID()] = dm, coo
+		return err
+	})
+	// slotOf is the binary-search slot of global (row, col) on rank dm.
+	slotOf := func(dm *DistMatrix, row, col int) int {
+		lr, ok := dm.rowMap.LocalOf(row)
+		if !ok {
+			t.Fatalf("row %d not owned", row)
+		}
+		lc, ok := dm.rowMap.LocalOf(col)
+		if !ok {
+			lc = dm.colG2L[col]
+		}
+		return dm.A.Slot(lr, lc)
+	}
+	imported := 0
+	for id, dm := range dms {
+		coo := coos[id]
+		if len(dm.localSlots) != len(dm.localTrip) {
+			t.Fatalf("rank %d: %d local slots for %d triplets", id, len(dm.localSlots), len(dm.localTrip))
+		}
+		for i, tr := range dm.localTrip {
+			if want := slotOf(dm, coo.Rows[tr], coo.Cols[tr]); want < 0 || dm.localSlots[i] != want {
+				t.Fatalf("rank %d local triplet %d: slot %d, want %d", id, tr, dm.localSlots[i], want)
+			}
+		}
+		for p, src := range dm.importPeers {
+			sender := dms[src]
+			pi := -1
+			for k, q := range sender.exportPeers {
+				if q == id {
+					pi = k
+				}
+			}
+			if pi < 0 || len(sender.exportIdx[pi]) != len(dm.importSlots[p]) {
+				t.Fatalf("rank %d: import stream from %d does not match its export group", id, src)
+			}
+			for j, tr := range sender.exportIdx[pi] {
+				row, col := coos[src].Rows[tr], coos[src].Cols[tr]
+				if want := slotOf(dm, row, col); want < 0 || dm.importSlots[p][j] != want {
+					t.Fatalf("rank %d import %d from %d: slot %d, want %d", id, j, src, dm.importSlots[p][j], want)
+				}
+				imported++
+			}
+		}
+	}
+	if imported == 0 {
+		t.Fatal("partition exported no triplets; the import plans went unchecked")
+	}
+}
+
 func TestDistMatrixSetValuesRefill(t *testing.T) {
 	// Refill with doubled values must double Apply results.
 	m := mesh.NewUnitCube(2)

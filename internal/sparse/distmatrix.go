@@ -158,16 +158,19 @@ func newDistMatrix(r *mp.Rank, rowMap *RowMap, coo *COO, owner func(int) int, ta
 		return dm.colG2L[g]
 	}
 
-	// Build the CSR pattern from local + imported triplets.
-	var pat COO
-	nImported := 0
+	// Build the CSR pattern from local + imported triplets in one pass. The
+	// slot plans for numeric refill are sub-slices of its slot array: local
+	// triplets first, then each source's stream in receive order.
+	nTrip := len(dm.localTrip)
 	for _, in := range ins {
-		nImported += len(in.pairs) / 2
+		nTrip += len(in.pairs) / 2
 	}
-	pat.Grow(len(dm.localTrip) + nImported)
+	rows := make([]int, 0, nTrip)
+	cols := make([]int, 0, nTrip)
 	for _, t := range dm.localTrip {
 		lr, _ := rowMap.LocalOf(coo.Rows[t])
-		pat.Add(lr, colOf(coo.Cols[t]), 0)
+		rows = append(rows, lr)
+		cols = append(cols, colOf(coo.Cols[t]))
 	}
 	for _, in := range ins {
 		for j := 0; j < len(in.pairs); j += 2 {
@@ -176,31 +179,21 @@ func newDistMatrix(r *mp.Rank, rowMap *RowMap, coo *COO, owner func(int) int, ta
 				return nil, fmt.Errorf("sparse: received row %d not owned by rank %d",
 					in.pairs[j], r.ID())
 			}
-			pat.Add(lr, colOf(in.pairs[j+1]), 0)
+			rows = append(rows, lr)
+			cols = append(cols, colOf(in.pairs[j+1]))
 		}
 	}
-	var err error
-	dm.A, err = NewCSRFromCOO(nOwned, nOwned+len(dm.ghostCols), &pat)
-	if err != nil {
-		return nil, err
-	}
-
-	// Slot plans for numeric refill.
-	dm.localSlots = make([]int, len(dm.localTrip))
-	for i, t := range dm.localTrip {
-		lr, _ := rowMap.LocalOf(coo.Rows[t])
-		dm.localSlots[i] = dm.A.Slot(lr, colOf(coo.Cols[t]))
-	}
+	var slot []int
+	dm.A, slot = buildPattern(nOwned, nOwned+len(dm.ghostCols), rows, cols)
+	next := len(dm.localTrip)
+	dm.localSlots = slot[:next:next]
 	dm.importPeers = make([]int, 0, len(ins))
 	dm.importSlots = make([][]int, 0, len(ins))
 	for _, in := range ins {
-		slots := make([]int, 0, len(in.pairs)/2)
-		for j := 0; j < len(in.pairs); j += 2 {
-			lr, _ := rowMap.LocalOf(in.pairs[j])
-			slots = append(slots, dm.A.Slot(lr, colOf(in.pairs[j+1])))
-		}
+		n := len(in.pairs) / 2
 		dm.importPeers = append(dm.importPeers, in.src)
-		dm.importSlots = append(dm.importSlots, slots)
+		dm.importSlots = append(dm.importSlots, slot[next:next+n:next+n])
+		next += n
 	}
 
 	// Ghost-value importer for matrix-vector products, shared with a
@@ -219,6 +212,7 @@ func newDistMatrix(r *mp.Rank, rowMap *RowMap, coo *COO, owner func(int) int, ta
 		}
 	}
 	if dm.imp == nil {
+		var err error
 		dm.imp, err = NewImporter(r, rowMap, dm.ghostCols, owner, tag+2)
 		if err != nil {
 			return nil, err
